@@ -173,10 +173,14 @@ Gmm Gmm::fit(std::span<const double> rows, std::size_t dim, const GmmOptions& op
     // ---- EM iterations ----
     std::vector<double> resp(n * k);       // responsibilities
     std::vector<double> log_parts(k);
+    std::vector<double> log_weight(k);
     std::vector<double> z(dim);
     double prev_ll = -std::numeric_limits<double>::infinity();
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
         // E step.
+        for (std::size_t c = 0; c < k; ++c) {
+            log_weight[c] = std::log(std::max(model.components_[c].weight, 1e-300));
+        }
         double ll = 0.0;
         for (std::size_t r = 0; r < n; ++r) {
             const auto xr = row(r);
@@ -191,8 +195,7 @@ Gmm Gmm::fit(std::span<const double> rows, std::size_t dim, const GmmOptions& op
                 }
                 double quad = 0.0;
                 for (const double v : z) quad += v * v;
-                log_parts[c] = std::log(std::max(comp.weight, 1e-300)) +
-                               comp.log_norm - 0.5 * quad;
+                log_parts[c] = log_weight[c] + comp.log_norm - 0.5 * quad;
             }
             const double norm = log_sum_exp(log_parts);
             ll += norm;

@@ -3,10 +3,12 @@
 // "We then use a KNN trained on a set of benchmark applications to estimate
 // runtime and power consumption on the other machines."
 //
-// The benchmark set is the instrumented kernel suite (ga_kernels). For each
-// benchmark we compute its counters on IC and its runtime/power on every
-// simulation machine via the CPU execution model; the KNN then maps a job's
-// (GMM-synthesized) counters to per-machine scale factors relative to IC.
+// The benchmark set is the counted work of the instrumented kernel suite
+// (ga_kernels) at two scales, pinned as a table so no process has to run the
+// kernels to train. For each benchmark we compute its counters on IC and its
+// runtime/power on every simulation machine via the CPU execution model; the
+// KNN then maps a job's (GMM-synthesized) counters to per-machine scale
+// factors relative to IC.
 #pragma once
 
 #include <memory>
@@ -27,8 +29,8 @@ struct BenchmarkPoint {
     JobCounters counters_ic;  ///< per-core counters measured on IC
 };
 
-/// Runs the kernel suite at two scales and derives IC counters.
-/// Results are cached process-wide (kernels really execute once).
+/// The kernel suite's work profiles at two scales (pinned, in suite order)
+/// with their derived IC counters. Built once per process.
 [[nodiscard]] const std::vector<BenchmarkPoint>& benchmark_points();
 
 /// Per-machine scaling relative to IC.

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
+#include "kernels/kernel.hpp"
 #include "util/error.hpp"
 #include "workload/counters.hpp"
 #include "workload/predictor.hpp"
@@ -139,6 +144,37 @@ TEST(Predictor, BenchmarkPointsCached) {
     const auto& b = wl::benchmark_points();
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(a.size(), 14u);  // 7 kernels x 2 scales
+}
+
+// The pinned profile table in workload/predictor.cpp must be exactly what the
+// live kernel suite counts. On drift, the message carries the live row in the
+// table's own hexfloat format.
+TEST(Predictor, PinnedProfilesMatchLiveSuite) {
+    const auto& pinned = wl::benchmark_points();
+    const auto& names = ga::kernels::suite_names();
+    const auto suite = ga::kernels::make_suite();
+    ASSERT_EQ(suite.size(), names.size());
+    ASSERT_EQ(pinned.size(), suite.size() * 2);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    std::size_t row = 0;
+    for (std::size_t k = 0; k < suite.size(); ++k) {
+        for (const int scale : {1, 2}) {
+            const auto live = suite[k]->run(suite[k]->test_scale() * scale);
+            const auto& p = pinned[row++];
+            char line[160];
+            std::snprintf(line, sizeof line, "{\"%s\", {%a, %a, %a}},",
+                          std::string(suite[k]->name()).c_str(), live.profile.flops,
+                          live.profile.mem_bytes, live.profile.parallel_fraction);
+            EXPECT_EQ(p.kernel, names[k]) << "live row: " << line;
+            const std::array<std::uint64_t, 3> want = {
+                bits(live.profile.flops), bits(live.profile.mem_bytes),
+                bits(live.profile.parallel_fraction)};
+            const std::array<std::uint64_t, 3> got = {
+                bits(p.profile.flops), bits(p.profile.mem_bytes),
+                bits(p.profile.parallel_fraction)};
+            EXPECT_EQ(got, want) << "live row: " << line;
+        }
+    }
 }
 
 TEST(Predictor, IcScalingPinnedToUnity) {
