@@ -19,18 +19,8 @@ ga::acct::JobUsage bench_usage() {
     return usage;
 }
 
-void BM_Charge(benchmark::State& state, ga::acct::Method method) {
-    const auto accountant = ga::acct::make_accountant(method);
-    const auto& machine =
-        ga::machine::find(ga::machine::CatalogId::InstitutionalCluster);
-    const auto usage = bench_usage();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(accountant->charge(usage, machine));
-    }
-}
-
-// Registry-built composite accountants on the same hot path.
-void BM_ChargeSpec(benchmark::State& state, const char* name) {
+// One registry-built accountant's charge on the hot path.
+void BM_Charge(benchmark::State& state, const char* name) {
     const auto accountant = ga::acct::AccountantRegistry::global().make(
         ga::acct::AccountantSpec{name, {}});
     const auto& machine =
@@ -55,8 +45,8 @@ void BM_RegistryMake(benchmark::State& state) {
 void BM_LedgerDualCharge(benchmark::State& state) {
     ga::acct::Ledger ledger;
     ledger.define_currency("core-hours",
-                           ga::acct::to_spec(ga::acct::Method::Runtime));
-    ledger.define_currency("gCO2e", ga::acct::to_spec(ga::acct::Method::Cba));
+                           ga::acct::AccountantSpec{"Runtime", {}});
+    ledger.define_currency("gCO2e", ga::acct::AccountantSpec{"CBA", {}});
     ledger.create_account("user", {{"core-hours", 1e18}, {"gCO2e", 1e18}});
     const auto& machine =
         ga::machine::find(ga::machine::CatalogId::InstitutionalCluster);
@@ -68,13 +58,13 @@ void BM_LedgerDualCharge(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Charge, runtime, ga::acct::Method::Runtime);
-BENCHMARK_CAPTURE(BM_Charge, energy, ga::acct::Method::Energy);
-BENCHMARK_CAPTURE(BM_Charge, peak, ga::acct::Method::Peak);
-BENCHMARK_CAPTURE(BM_Charge, eba, ga::acct::Method::Eba);
-BENCHMARK_CAPTURE(BM_Charge, cba, ga::acct::Method::Cba);
-BENCHMARK_CAPTURE(BM_ChargeSpec, blended, "Blended");
-BENCHMARK_CAPTURE(BM_ChargeSpec, carbon_tax, "CarbonTax");
+BENCHMARK_CAPTURE(BM_Charge, runtime, "Runtime");
+BENCHMARK_CAPTURE(BM_Charge, energy, "Energy");
+BENCHMARK_CAPTURE(BM_Charge, peak, "Peak");
+BENCHMARK_CAPTURE(BM_Charge, eba, "EBA");
+BENCHMARK_CAPTURE(BM_Charge, cba, "CBA");
+BENCHMARK_CAPTURE(BM_Charge, blended, "Blended");
+BENCHMARK_CAPTURE(BM_Charge, carbon_tax, "CarbonTax");
 BENCHMARK(BM_RegistryMake);
 // Fixed iteration count: every charge appends two history rows, so an
 // auto-scaled run would grow the audit trail (and its memory) unboundedly.

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -44,13 +46,21 @@ inline std::vector<ga::sim::SweepOutcome> sweep(
     return runner.run(grid);
 }
 
-/// Runs one policy/pricing combination (single-scenario convenience).
+/// The paper's five multi-machine policies (Figs 6, 7a and Table 6): the
+/// first five of `paper_policies()`.
+inline std::vector<ga::sim::PolicySpec> adaptive_policies() {
+    const auto& paper = ga::sim::paper_policies();
+    return {paper.begin(), paper.begin() + 5};
+}
+
+/// Runs one policy/pricing combination (single-scenario convenience), both
+/// named by registry spec, e.g. `run(simulator, "Greedy", "EBA")`.
 inline ga::sim::SimResult run(const ga::sim::BatchSimulator& simulator,
-                              ga::sim::Policy policy, ga::acct::Method pricing,
+                              std::string policy, std::string pricing,
                               double budget = 0.0, bool regional = false) {
     ga::sim::SimOptions o;
-    o.policy = policy;
-    o.pricing = pricing;
+    o.policy = ga::sim::PolicySpec{std::move(policy), {}};
+    o.pricing = ga::acct::AccountantSpec{std::move(pricing), {}};
     o.budget = budget;
     o.regional_grids = regional;
     return simulator.run(o);

@@ -81,8 +81,8 @@ int main() {
     // Pricing is EBA — carbon-blind prices — so the carbon guardrail is
     // doing real work that the cost signal alone would not.
     ga::sim::SweepGrid grid;
-    grid.policies = {ga::sim::Policy::Greedy};
-    grid.policy_specs = {
+    grid.policies = {
+        ga::sim::PolicySpec{"Greedy", {}},
         ga::sim::PolicySpec{"CarbonAware", {}},
         ga::sim::PolicySpec{"CappedGreedy", {{"cap", 60.0}}},
         ga::sim::PolicySpec{"CappedGreedy", {{"cap", 300.0}}},

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/spec.hpp"
@@ -118,65 +121,22 @@ ga::util::ParsedSpec get_spec(const JsonValue& v, const std::string& path) {
     return spec;
 }
 
-ga::sim::PolicySpec get_policy_spec(const JsonValue& v,
-                                    const std::string& path) {
-    auto parsed = get_spec(v, path);
-    if (!ga::sim::PolicyRegistry::global().contains(parsed.name)) {
-        fail(path, "unknown policy \"" + parsed.name + "\" (registered: " +
-                       join(ga::sim::PolicyRegistry::global().names()) + ")");
+/// Builds `spec` once through `registry`, so bad parameters (a Mixed
+/// threshold below 1, an out-of-domain EBA "pue") fail at load with the
+/// path instead of inside a sweep worker.
+template <typename Registry, typename Spec>
+Spec validated(const Registry& registry, Spec spec, const std::string& path,
+               std::string_view kind) {
+    if (!registry.contains(spec.name)) {
+        fail(path, "unknown " + std::string(kind) + " \"" + spec.name +
+                       "\" (registered: " + join(registry.names()) + ")");
     }
-    return ga::sim::PolicySpec{std::move(parsed.name),
-                               std::move(parsed.params)};
-}
-
-ga::acct::AccountantSpec get_accountant_spec(const JsonValue& v,
-                                             const std::string& path) {
-    auto parsed = get_spec(v, path);
-    if (!ga::acct::AccountantRegistry::global().contains(parsed.name)) {
-        fail(path,
-             "unknown accountant \"" + parsed.name + "\" (registered: " +
-                 join(ga::acct::AccountantRegistry::global().names()) + ")");
+    try {
+        (void)registry.make(spec);
+    } catch (const std::exception& e) {
+        fail(path, e.what());
     }
-    return ga::acct::AccountantSpec{std::move(parsed.name),
-                                    std::move(parsed.params)};
-}
-
-// ------------------------------------------------------------------ enums
-
-std::vector<std::string> policy_names() {
-    std::vector<std::string> names;
-    for (const auto p : ga::sim::all_policies()) {
-        names.emplace_back(ga::sim::to_string(p));
-    }
-    return names;
-}
-
-std::vector<std::string> method_names() {
-    std::vector<std::string> names;
-    for (const auto m : ga::acct::all_methods()) {
-        names.emplace_back(ga::acct::to_string(m));
-    }
-    return names;
-}
-
-ga::sim::Policy get_policy_name(const JsonValue& v, const std::string& path) {
-    const std::string name = get_string(v, path);
-    const auto policy = ga::sim::policy_from_string(name);
-    if (!policy.has_value()) {
-        fail(path, "unknown policy name \"" + name +
-                       "\" (one of: " + join(policy_names()) + ")");
-    }
-    return *policy;
-}
-
-ga::acct::Method get_method_name(const JsonValue& v, const std::string& path) {
-    const std::string name = get_string(v, path);
-    const auto method = ga::acct::method_from_string(name);
-    if (!method.has_value()) {
-        fail(path, "unknown pricing method \"" + name +
-                       "\" (one of: " + join(method_names()) + ")");
-    }
-    return *method;
+    return spec;
 }
 
 // ---------------------------------------------------------------- options
@@ -201,8 +161,8 @@ ga::sim::CurrencyBudget get_currency_budget(const JsonValue& v,
     ga::sim::CurrencyBudget cb;
     cb.currency = get_string(require_key(v, "currency", path), path + ".currency");
     if (cb.currency.empty()) fail(path + ".currency", "empty currency name");
-    cb.accountant = get_accountant_spec(require_key(v, "accountant", path),
-                                        path + ".accountant");
+    cb.accountant = accountant_spec_from_json(
+        require_key(v, "accountant", path), path + ".accountant");
     cb.budget = get_number(require_key(v, "budget", path), path + ".budget");
     return cb;
 }
@@ -210,23 +170,15 @@ ga::sim::CurrencyBudget get_currency_budget(const JsonValue& v,
 ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
     expect_object(v, path);
     check_keys(v, path,
-               {"policy", "policy_spec", "pricing", "accountant_spec",
-                "currency_budgets", "budget", "mixed_threshold",
+               {"policy", "pricing", "currency_budgets", "budget",
                 "regional_grids", "grid_seed", "arrival_compression",
                 "outage"});
     ga::sim::SimOptions options;
     if (const JsonValue* f = v.find("policy")) {
-        options.policy = get_policy_name(*f, path + ".policy");
-    }
-    if (const JsonValue* f = v.find("policy_spec")) {
-        options.policy_spec = get_policy_spec(*f, path + ".policy_spec");
+        options.policy = policy_spec_from_json(*f, path + ".policy");
     }
     if (const JsonValue* f = v.find("pricing")) {
-        options.pricing = get_method_name(*f, path + ".pricing");
-    }
-    if (const JsonValue* f = v.find("accountant_spec")) {
-        options.accountant_spec =
-            get_accountant_spec(*f, path + ".accountant_spec");
+        options.pricing = accountant_spec_from_json(*f, path + ".pricing");
     }
     if (const JsonValue* f = v.find("currency_budgets")) {
         const auto& entries = get_array(*f, path + ".currency_budgets");
@@ -238,9 +190,6 @@ ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
     }
     if (const JsonValue* f = v.find("budget")) {
         options.budget = get_number(*f, path + ".budget");
-    }
-    if (const JsonValue* f = v.find("mixed_threshold")) {
-        options.mixed_threshold = get_number(*f, path + ".mixed_threshold");
     }
     if (const JsonValue* f = v.find("regional_grids")) {
         options.regional_grids = get_bool(*f, path + ".regional_grids");
@@ -260,90 +209,47 @@ ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
 
 // ------------------------------------------------------------------- grid
 
+/// Appends every element of the array at `grid.<key>` (if present) to
+/// `axis`, each read by `get(element, "<path>.<key>[i]")`.
+template <typename T, typename Get>
+void load_axis(const JsonValue& grid, const std::string& path,
+               const char* key, Get get, std::vector<T>& axis) {
+    const JsonValue* f = grid.find(key);
+    if (f == nullptr) return;
+    const std::string axis_path = path + "." + key;
+    const auto& items = get_array(*f, axis_path);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        axis.push_back(
+            get(items[i], axis_path + "[" + std::to_string(i) + "]"));
+    }
+}
+
 void load_grid_axes(const JsonValue& v, const std::string& path,
                     ga::sim::SweepGrid& grid) {
     expect_object(v, path);
     check_keys(v, path,
                {"policies", "policy_specs", "pricings", "accountant_specs",
-                "budgets", "mixed_thresholds", "regional_grids", "grid_seeds",
+                "budgets", "regional_grids", "grid_seeds",
                 "arrival_compressions", "outages"});
-    const auto element = [&path](const std::string& axis, std::size_t i) {
-        return path + "." + axis + "[" + std::to_string(i) + "]";
-    };
-    if (const JsonValue* f = v.find("policies")) {
-        const auto& items = get_array(*f, path + ".policies");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.policies.push_back(
-                get_policy_name(items[i], element("policies", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("policy_specs")) {
-        const auto& items = get_array(*f, path + ".policy_specs");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.policy_specs.push_back(
-                get_policy_spec(items[i], element("policy_specs", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("pricings")) {
-        const auto& items = get_array(*f, path + ".pricings");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.pricings.push_back(
-                get_method_name(items[i], element("pricings", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("accountant_specs")) {
-        const auto& items = get_array(*f, path + ".accountant_specs");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.accountant_specs.push_back(
-                get_accountant_spec(items[i], element("accountant_specs", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("budgets")) {
-        const auto& items = get_array(*f, path + ".budgets");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.budgets.push_back(
-                get_number(items[i], element("budgets", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("mixed_thresholds")) {
-        const auto& items = get_array(*f, path + ".mixed_thresholds");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.mixed_thresholds.push_back(
-                get_number(items[i], element("mixed_thresholds", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("regional_grids")) {
-        const auto& items = get_array(*f, path + ".regional_grids");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.regional_grids.push_back(
-                get_bool(items[i], element("regional_grids", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("grid_seeds")) {
-        const auto& items = get_array(*f, path + ".grid_seeds");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.grid_seeds.push_back(
-                get_uint(items[i], element("grid_seeds", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("arrival_compressions")) {
-        const auto& items = get_array(*f, path + ".arrival_compressions");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.arrival_compressions.push_back(
-                get_number(items[i], element("arrival_compressions", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("outages")) {
-        const auto& items = get_array(*f, path + ".outages");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            const std::string p = element("outages", i);
-            if (items[i].is_null()) {
-                grid.outages.emplace_back(std::nullopt);
-            } else {
-                grid.outages.emplace_back(get_outage(items[i], p));
-            }
-        }
-    }
+    // "policy_specs"/"accountant_specs" are synonyms of "policies"/
+    // "pricings": both keys feed one axis, the first key's entries first.
+    load_axis(v, path, "policies", policy_spec_from_json, grid.policies);
+    load_axis(v, path, "policy_specs", policy_spec_from_json, grid.policies);
+    load_axis(v, path, "pricings", accountant_spec_from_json, grid.pricings);
+    load_axis(v, path, "accountant_specs", accountant_spec_from_json,
+              grid.pricings);
+    load_axis(v, path, "budgets", get_number, grid.budgets);
+    load_axis(v, path, "regional_grids", get_bool, grid.regional_grids);
+    load_axis(v, path, "grid_seeds", get_uint, grid.grid_seeds);
+    load_axis(v, path, "arrival_compressions", get_number,
+              grid.arrival_compressions);
+    load_axis(v, path, "outages",
+              [](const JsonValue& item, const std::string& p)
+                  -> std::optional<ga::sim::ClusterOutage> {
+                  if (item.is_null()) return std::nullopt;
+                  return get_outage(item, p);
+              },
+              grid.outages);
 }
 
 ga::workload::TraceOptions get_workload(const JsonValue& v,
@@ -446,18 +352,21 @@ JsonValue uint_to_json(std::uint64_t v, const char* what) {
     return JsonValue(static_cast<double>(v));
 }
 
-JsonValue spec_to_json(const std::string& name,
-                       const std::map<std::string, double>& params) {
+template <typename Spec>
+JsonValue spec_to_json(const Spec& spec) {
     JsonValue out;
-    out.set("name", name);
-    if (!params.empty()) {
-        JsonValue p;
-        for (const auto& [key, value] : params) p.set(key, value);
-        out.set("params", std::move(p));
-    } else {
-        out.set("params", JsonValue(JsonValue::Object{}));
-    }
+    out.set("name", spec.name);
+    JsonValue params{JsonValue::Object{}};
+    for (const auto& [key, value] : spec.params) params.set(key, value);
+    out.set("params", std::move(params));
     return out;
+}
+
+template <typename Spec>
+JsonValue specs_to_json(const std::vector<Spec>& specs) {
+    JsonValue::Array items;
+    for (const auto& spec : specs) items.push_back(spec_to_json(spec));
+    return JsonValue(std::move(items));
 }
 
 JsonValue outage_to_json(const ga::sim::ClusterOutage& outage) {
@@ -470,31 +379,20 @@ JsonValue outage_to_json(const ga::sim::ClusterOutage& outage) {
 
 JsonValue options_to_json(const ga::sim::SimOptions& options) {
     JsonValue out;
-    out.set("policy", std::string(ga::sim::to_string(options.policy)));
-    if (options.policy_spec.has_value()) {
-        out.set("policy_spec", spec_to_json(options.policy_spec->name,
-                                            options.policy_spec->params));
-    }
-    out.set("pricing", std::string(ga::acct::to_string(options.pricing)));
-    if (options.accountant_spec.has_value()) {
-        out.set("accountant_spec",
-                spec_to_json(options.accountant_spec->name,
-                             options.accountant_spec->params));
-    }
+    out.set("policy", spec_to_json(options.policy));
+    out.set("pricing", spec_to_json(options.pricing));
     if (!options.currency_budgets.empty()) {
         JsonValue::Array budgets;
         for (const auto& cb : options.currency_budgets) {
             JsonValue entry;
             entry.set("currency", cb.currency);
-            entry.set("accountant",
-                      spec_to_json(cb.accountant.name, cb.accountant.params));
+            entry.set("accountant", spec_to_json(cb.accountant));
             entry.set("budget", cb.budget);
             budgets.push_back(std::move(entry));
         }
         out.set("currency_budgets", JsonValue(std::move(budgets)));
     }
     out.set("budget", options.budget);
-    out.set("mixed_threshold", options.mixed_threshold);
     out.set("regional_grids", options.regional_grids);
     out.set("grid_seed", uint_to_json(options.grid_seed, "grid_seed"));
     out.set("arrival_compression", options.arrival_compression);
@@ -512,6 +410,24 @@ void ScenarioFile::scale_workload(double factor) {
         std::floor(static_cast<double>(workload.base_jobs) * factor);
     workload.base_jobs =
         scaled < 1.0 ? std::size_t{1} : static_cast<std::size_t>(scaled);
+}
+
+ga::sim::PolicySpec policy_spec_from_json(const JsonValue& v,
+                                          const std::string& path) {
+    auto parsed = get_spec(v, path);
+    return validated(ga::sim::PolicyRegistry::global(),
+                     ga::sim::PolicySpec{std::move(parsed.name),
+                                         std::move(parsed.params)},
+                     path, "policy");
+}
+
+ga::acct::AccountantSpec accountant_spec_from_json(const JsonValue& v,
+                                                   const std::string& path) {
+    auto parsed = get_spec(v, path);
+    return validated(ga::acct::AccountantRegistry::global(),
+                     ga::acct::AccountantSpec{std::move(parsed.name),
+                                              std::move(parsed.params)},
+                     path, "accountant");
 }
 
 ScenarioFile scenario_from_json(const JsonValue& root) {
@@ -573,42 +489,15 @@ JsonValue scenario_to_json(const ScenarioFile& scenario) {
     const auto& grid = scenario.grid;
     JsonValue axes{JsonValue::Object{}};  // "grid": {} when nothing is swept
     if (!grid.policies.empty()) {
-        JsonValue::Array items;
-        for (const auto p : grid.policies) {
-            items.emplace_back(std::string(ga::sim::to_string(p)));
-        }
-        axes.set("policies", JsonValue(std::move(items)));
-    }
-    if (!grid.policy_specs.empty()) {
-        JsonValue::Array items;
-        for (const auto& spec : grid.policy_specs) {
-            items.push_back(spec_to_json(spec.name, spec.params));
-        }
-        axes.set("policy_specs", JsonValue(std::move(items)));
+        axes.set("policies", specs_to_json(grid.policies));
     }
     if (!grid.pricings.empty()) {
-        JsonValue::Array items;
-        for (const auto m : grid.pricings) {
-            items.emplace_back(std::string(ga::acct::to_string(m)));
-        }
-        axes.set("pricings", JsonValue(std::move(items)));
-    }
-    if (!grid.accountant_specs.empty()) {
-        JsonValue::Array items;
-        for (const auto& spec : grid.accountant_specs) {
-            items.push_back(spec_to_json(spec.name, spec.params));
-        }
-        axes.set("accountant_specs", JsonValue(std::move(items)));
+        axes.set("pricings", specs_to_json(grid.pricings));
     }
     if (!grid.budgets.empty()) {
         JsonValue::Array items;
         for (const auto b : grid.budgets) items.emplace_back(b);
         axes.set("budgets", JsonValue(std::move(items)));
-    }
-    if (!grid.mixed_thresholds.empty()) {
-        JsonValue::Array items;
-        for (const auto t : grid.mixed_thresholds) items.emplace_back(t);
-        axes.set("mixed_thresholds", JsonValue(std::move(items)));
     }
     if (!grid.regional_grids.empty()) {
         JsonValue::Array items;

@@ -23,22 +23,25 @@
 //     "grid":    { ... }    // sweep axes overriding options per point
 //   }
 //
-// "options" carries every `SimOptions` field: "policy", "policy_spec",
-// "pricing", "accountant_spec", "budget", "mixed_threshold",
-// "regional_grids", "grid_seed", "arrival_compression", "outage"
+// "options" carries every `SimOptions` field: "policy", "pricing",
+// "budget", "regional_grids", "grid_seed", "arrival_compression", "outage"
 // ({"cluster", "at_s", "nodes_lost"} or null), and "currency_budgets"
 // ([{"currency", "accountant", "budget"}, ...]). "grid" carries every
-// `SweepGrid` axis: "policies", "policy_specs", "pricings",
-// "accountant_specs", "budgets", "mixed_thresholds", "regional_grids",
-// "grid_seeds", "arrival_compressions", "outages". Policy/accountant specs
-// are written either as a label string ("Mixed(threshold=1.5)", parsed by
-// ga::util::parse_spec) or as {"name": ..., "params": {...}}; spec names
-// are validated against the live registries at load time, so register
-// custom strategies before loading.
+// `SweepGrid` axis: "policies", "pricings", "budgets", "regional_grids",
+// "grid_seeds", "arrival_compressions", "outages"; "policy_specs" and
+// "accountant_specs" are accepted as synonyms that append to the
+// "policies"/"pricings" axis (that key's entries after the first key's).
 //
-// Loading is strict: unknown keys, wrong types, bad enum names, and
-// malformed specs all throw ga::util::RuntimeError naming the offending
-// path ("grid.budgets[2]", "options.outage.cluster", ...).
+// Every policy and accountant — in options, grid axes, and currency
+// budgets — is a registry spec, written as a bare name ("Greedy"), a label
+// string ("Mixed(threshold=1.5)", parsed by ga::util::parse_spec), or
+// {"name": ..., "params": {...}}. Each spec is built once through its live
+// registry at load time, so unknown names and bad parameters fail here
+// with the spec's path; register custom strategies before loading.
+//
+// Loading is strict: unknown keys, wrong types, unknown names, and
+// malformed or unbuildable specs all throw ga::util::RuntimeError naming
+// the offending path ("grid.budgets[2]", "options.outage.cluster", ...).
 #pragma once
 
 #include <filesystem>
@@ -66,6 +69,14 @@ struct ScenarioFile {
 /// Maps a parsed document onto the simulation surface. Throws RuntimeError
 /// with the offending path on any schema violation.
 [[nodiscard]] ScenarioFile scenario_from_json(const JsonValue& root);
+
+/// One policy / accountant spec in any scenario-file form (name, label
+/// string, or object), checked against the registry and built once as the
+/// loader does. Errors are RuntimeErrors naming `path`.
+[[nodiscard]] ga::sim::PolicySpec policy_spec_from_json(
+    const JsonValue& v, const std::string& path);
+[[nodiscard]] ga::acct::AccountantSpec accountant_spec_from_json(
+    const JsonValue& v, const std::string& path);
 
 /// Reads, parses, and maps a scenario file; errors are prefixed with the
 /// path.

@@ -7,7 +7,6 @@
 #include <span>
 #include <utility>
 
-#include "carbon/grids.hpp"
 #include "machine/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -67,12 +66,8 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario)
     }
     std::vector<std::pair<std::string, ga::acct::AccountantSpec>> currencies;
     if (options_.currency_budgets.empty()) {
-        const ga::acct::AccountantSpec pricing_spec =
-            options_.accountant_spec.has_value()
-                ? *options_.accountant_spec
-                : ga::acct::to_spec(options_.pricing);
         currencies.emplace_back(std::string(ga::acct::Ledger::kDefaultCurrency),
-                                pricing_spec);
+                                options_.pricing);
     } else {
         for (const auto& cb : options_.currency_budgets) {
             currencies.emplace_back(cb.currency, cb.accountant);
@@ -155,39 +150,11 @@ void ServeSession::init_config(ga::io::ScenarioFile scenario) {
             predictor_->machine_index(cfg.entry.node.name));
     }
 
-    std::map<std::string, ga::carbon::IntensityTrace> traces;
-    if (options_.regional_grids) {
-        for (const auto& cfg : cluster_cfgs_) {
-            if (cfg.entry.grid_region.empty()) continue;
-            traces.emplace(cfg.entry.node.name,
-                           ga::carbon::synthesize(
-                               ga::carbon::region(cfg.entry.grid_region),
-                               /*days=*/30, options_.grid_seed));
-        }
-    }
-    cba_ = std::make_unique<ga::acct::CarbonBasedAccounting>(traces);
-
-    const ga::acct::AccountantSpec pricing_spec =
-        options_.accountant_spec.has_value()
-            ? *options_.accountant_spec
-            : ga::acct::to_spec(options_.pricing);
-    pricer_ = ga::acct::AccountantRegistry::global().make(pricing_spec);
-    if (!traces.empty()) {
-        if (auto bound = pricer_->with_grid(traces)) pricer_ = std::move(bound);
-    }
-
-    ga::sim::PolicySpec policy_spec =
-        options_.policy_spec.has_value()
-            ? *options_.policy_spec
-            : ga::sim::to_spec(options_.policy, options_.mixed_threshold);
-    if (policy_spec.params.find("index") == policy_spec.params.end()) {
-        for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
-            if (cluster_cfgs_[c].entry.node.name == policy_spec.name) {
-                policy_spec.params.emplace("index", static_cast<double>(c));
-            }
-        }
-    }
-    routing_ = ga::sim::PolicyRegistry::global().make(policy_spec);
+    ga::sim::RunSetup setup = ga::sim::resolve_run(options_, cluster_cfgs_);
+    cba_ = std::make_unique<ga::acct::CarbonBasedAccounting>(
+        std::move(setup.grid_traces));
+    pricer_ = std::move(setup.pricer);
+    routing_ = std::move(setup.routing);
     fill_grid_intensity_ = routing_->uses_grid_intensity();
     fill_grid_forecast_ =
         fill_grid_intensity_ && routing_->uses_grid_forecast();
@@ -314,7 +281,6 @@ ServeSession::Routed ServeSession::route(const JobSpec& job,
                                ? options_.budget - primary_spent_
                                : std::numeric_limits<double>::infinity();
     ctx.jobs_submitted = static_cast<std::size_t>(jobs_submitted_) + 1;
-    ctx.pricing = options_.pricing;
     ctx.clusters = std::span<const ga::sim::ClusterStatus>(statuses);
     routed.chosen = routing_->choose(ctx, routed.choices);
     if (routed.chosen.has_value() &&

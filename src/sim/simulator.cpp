@@ -13,6 +13,21 @@
 
 namespace ga::sim {
 
+namespace {
+
+/// `accountant` rebound to the scenario's grid traces when it reads the
+/// grid (`Accountant::with_grid`); unchanged otherwise.
+std::unique_ptr<const ga::acct::Accountant> bind_grid(
+    std::unique_ptr<const ga::acct::Accountant> accountant,
+    const std::map<std::string, ga::carbon::IntensityTrace>& grid_traces) {
+    if (!grid_traces.empty()) {
+        if (auto bound = accountant->with_grid(grid_traces)) return bound;
+    }
+    return accountant;
+}
+
+}  // namespace
+
 std::vector<ClusterConfig> default_clusters() {
     using ga::machine::CatalogId;
     return {
@@ -24,6 +39,34 @@ std::vector<ClusterConfig> default_clusters() {
         ClusterConfig{ga::machine::find(CatalogId::InstitutionalCluster), 40},
         ClusterConfig{ga::machine::find(CatalogId::Theta), 64},
     };
+}
+
+RunSetup resolve_run(const SimOptions& options,
+                     std::span<const ClusterConfig> clusters) {
+    RunSetup setup;
+    if (options.regional_grids) {
+        for (const auto& c : clusters) {
+            if (c.entry.grid_region.empty()) continue;
+            setup.grid_traces.emplace(
+                c.entry.node.name,
+                ga::carbon::synthesize(ga::carbon::region(c.entry.grid_region),
+                                       /*days=*/30, options.grid_seed));
+        }
+    }
+    setup.pricer = bind_grid(
+        ga::acct::AccountantRegistry::global().make(options.pricing),
+        setup.grid_traces);
+
+    PolicySpec policy = options.policy;
+    if (policy.params.find("index") == policy.params.end()) {
+        for (std::size_t c = 0; c < clusters.size(); ++c) {
+            if (clusters[c].entry.node.name == policy.name) {
+                policy.params.emplace("index", static_cast<double>(c));
+            }
+        }
+    }
+    setup.routing = PolicyRegistry::global().make(policy);
+    return setup;
 }
 
 BatchSimulator::BatchSimulator(ga::workload::Workload workload,
@@ -417,35 +460,12 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     const auto& jobs = workload_.jobs;
 
     // ---- accounting setup ----
-    std::map<std::string, ga::carbon::IntensityTrace> traces;
-    if (options.regional_grids) {
-        for (const auto& c : clusters_) {
-            if (c.entry.grid_region.empty()) continue;
-            traces.emplace(c.entry.node.name,
-                           ga::carbon::synthesize(
-                               ga::carbon::region(c.entry.grid_region),
-                               /*days=*/30, options.grid_seed));
-        }
-    }
+    const RunSetup setup = resolve_run(options, clusters_);
+    const auto& traces = setup.grid_traces;
     // CBA with the scenario's grids; also used to decompose carbon totals
     // for Table 6 regardless of the pricing method.
     const ga::acct::CarbonBasedAccounting cba(traces);
-
-    // Resolve the pricing accountant: an explicit registry spec when given,
-    // else the legacy enum mapped through the compatibility shim. Carbon-
-    // aware methods are rebound to the scenario's grid traces (`with_grid`),
-    // so spec-driven CBA prices exactly like the pre-registry path.
-    const ga::acct::AccountantSpec pricing_spec =
-        options.accountant_spec.has_value() ? *options.accountant_spec
-                                            : ga::acct::to_spec(options.pricing);
-    std::unique_ptr<const ga::acct::Accountant> pricer_owned =
-        ga::acct::AccountantRegistry::global().make(pricing_spec);
-    if (!traces.empty()) {
-        if (auto bound = pricer_owned->with_grid(traces)) {
-            pricer_owned = std::move(bound);
-        }
-    }
-    const ga::acct::Accountant& pricer = *pricer_owned;
+    const ga::acct::Accountant& pricer = *setup.pricer;
 
     // Multi-currency admission accountants, index-aligned with
     // options.currency_budgets.
@@ -457,11 +477,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
                    "simulator: currency name must not be empty");
         GA_REQUIRE(cb.budget >= 0.0,
                    "simulator: currency budget must be non-negative");
-        auto acct = ga::acct::AccountantRegistry::global().make(cb.accountant);
-        if (!traces.empty()) {
-            if (auto bound = acct->with_grid(traces)) acct = std::move(bound);
-        }
-        currency_pricers.push_back(std::move(acct));
+        currency_pricers.push_back(bind_grid(
+            ga::acct::AccountantRegistry::global().make(cb.accountant),
+            traces));
     }
     for (std::size_t a = 0; a < n_currencies; ++a) {
         for (std::size_t b = a + 1; b < n_currencies; ++b) {
@@ -471,29 +489,13 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         }
     }
 
-    // Resolve the routing strategy: an explicit registry spec when given,
-    // else the legacy enum mapped through the compatibility shim.
-    PolicySpec policy_spec =
-        options.policy_spec.has_value()
-            ? *options.policy_spec
-            : to_spec(options.policy, options.mixed_threshold);
-    // Fixed-machine policies are named after their cluster; resolving the
-    // name to an index once here (as the pre-registry code did) spares
-    // them a per-submit name scan. A no-op for every other policy name.
-    if (policy_spec.params.find("index") == policy_spec.params.end()) {
-        for (std::size_t c = 0; c < n_clusters; ++c) {
-            if (clusters_[c].entry.node.name == policy_spec.name) {
-                policy_spec.params.emplace("index", static_cast<double>(c));
-            }
-        }
-    }
-    const auto routing = PolicyRegistry::global().make(policy_spec);
+    const RoutingPolicy& routing = *setup.routing;
     // Grid-blind policies (all eight paper builtins among them) let the
     // submit path skip the per-decision intensity lookups entirely;
     // current-intensity-only policies skip just the forecast lookup.
-    const bool fill_grid_intensity = routing->uses_grid_intensity();
+    const bool fill_grid_intensity = routing.uses_grid_intensity();
     const bool fill_grid_forecast =
-        fill_grid_intensity && routing->uses_grid_forecast();
+        fill_grid_intensity && routing.uses_grid_forecast();
 
     // ---- state ----
     GA_REQUIRE(options.arrival_compression > 0.0,
@@ -555,11 +557,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     SchedulingContext ctx;
     ctx.budget_total = options.budget;
     ctx.jobs_total = jobs.size();
-    // Context pricing: keep the enum view coherent when a registry spec
-    // names one of the five shim methods; custom names keep the option's
-    // enum value (policies needing more should read their own params).
-    ctx.pricing = ga::acct::method_from_string(pricing_spec.name)
-                      .value_or(options.pricing);
     ctx.clusters = views;
 
     for (const auto& job : jobs) {
@@ -734,7 +731,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
         ++ctx.jobs_submitted;
-        const auto chosen = routing->choose(ctx, choices);
+        const auto chosen = routing.choose(ctx, choices);
         if (!chosen) {
             ++result.jobs_skipped;
             continue;

@@ -1,9 +1,9 @@
 // Tests for the open accounting API (core/accounting.hpp): AccountantSpec,
-// AccountantRegistry, the builtin methods (paper + composites), the legacy
-// Method-enum compatibility shim (including the hexfloat charge baseline
-// captured from the pre-registry implementation), and end-to-end
-// registry-driven simulator runs (spec pricing, the accountant sweep axis,
-// and the dual-budget core-hours + gCO2e scenario).
+// AccountantRegistry, the builtin methods (paper + composites, including
+// the hexfloat charge baseline captured from the pre-registry
+// implementation), and end-to-end registry-driven simulator runs (spec
+// pricing, the accountant sweep axis, and the dual-budget core-hours +
+// gCO2e scenario).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,8 +48,8 @@ TEST(AccountantSpec, LabelIsNameAloneOrNameWithSortedParams) {
 // -------------------------------------------------------- AccountantRegistry
 TEST(AccountantRegistry, GlobalContainsPaperAndBeyondPaperBuiltins) {
     auto& registry = ac::AccountantRegistry::global();
-    for (const auto m : ac::all_methods()) {
-        EXPECT_TRUE(registry.contains(ac::to_string(m))) << ac::to_string(m);
+    for (const auto& spec : ac::paper_accountants()) {
+        EXPECT_TRUE(registry.contains(spec.name)) << spec.name;
     }
     for (const auto& spec : ac::beyond_paper_accountants()) {
         EXPECT_TRUE(registry.contains(spec.name)) << spec.name;
@@ -181,12 +181,13 @@ TEST(WithGrid, CarbonAwareMethodsRebindAndGridBlindOnesReturnNull) {
     }
 }
 
-// --------------------------------------- enum shim: hexfloat charge baseline
-// Captured from the pre-registry implementation (PR 3 state) across all five
-// methods, the full ten-machine catalog, and five usage shapes. The shim
-// (`make_accountant`/`to_spec`) must reproduce every charge bit-for-bit.
+// ------------------------------------------ hexfloat charge baseline
+// Captured from the pre-registry implementation across all five paper
+// methods, the full ten-machine catalog, and five usage shapes. Accountants
+// built by name through the registry must reproduce every charge
+// bit-for-bit.
 struct BaselineRow {
-    int method;          // index into all_methods()
+    const char* method;  // registry name of a paper method
     const char* machine; // catalog display name
     int usage;           // index into baseline_usages()
     double expected;     // hexfloat, exact
@@ -206,34 +207,22 @@ const ac::JobUsage* baseline_usages() {
 
 const std::vector<BaselineRow>& baseline_rows();
 
-TEST(EnumShim, ChargesBitIdenticalToPreRedesignBaseline) {
+TEST(AccountantRegistry, PaperChargesBitIdenticalToPreRedesignBaseline) {
     ASSERT_EQ(baseline_rows().size(), 215u);
-    for (const auto m : ac::all_methods()) {
-        const auto by_enum = ac::make_accountant(m);
-        const auto by_spec = ac::AccountantRegistry::global().make(ac::to_spec(m));
-        const int mi = static_cast<int>(m);
+    std::size_t checked = 0;
+    for (const auto& spec : ac::paper_accountants()) {
+        const auto accountant = ac::AccountantRegistry::global().make(spec);
         for (const auto& row : baseline_rows()) {
-            if (row.method != mi) continue;
+            if (spec.name != row.method) continue;
             const auto& entry = mc::find(row.machine);
             const auto& usage = baseline_usages()[row.usage];
-            SCOPED_TRACE(std::string(ac::to_string(m)) + "/" + row.machine +
-                         "/usage" + std::to_string(row.usage));
-            EXPECT_EQ(by_enum->charge(usage, entry), row.expected);
-            EXPECT_EQ(by_spec->charge(usage, entry), row.expected);
+            SCOPED_TRACE(spec.name + "/" + row.machine + "/usage" +
+                         std::to_string(row.usage));
+            EXPECT_EQ(accountant->charge(usage, entry), row.expected);
+            ++checked;
         }
     }
-}
-
-TEST(EnumShim, ToSpecNamesAreRegisteredAndRoundTrip) {
-    for (const auto m : ac::all_methods()) {
-        const auto spec = ac::to_spec(m);
-        EXPECT_TRUE(ac::AccountantRegistry::global().contains(spec.name));
-        EXPECT_EQ(spec.name, ac::to_string(m));
-        EXPECT_TRUE(spec.params.empty()) << ac::to_string(m);
-        const auto parsed = ac::method_from_string(spec.name);
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, m);
-    }
+    EXPECT_EQ(checked, baseline_rows().size());  // every row names a method
 }
 
 // ----------------------------------- registry accountants end-to-end in runs
@@ -249,34 +238,10 @@ const sm::BatchSimulator& shared_simulator() {
     return simulator;
 }
 
-TEST(SpecPricing, SpecDrivenRunsBitIdenticalToEnumRunsForBothPricings) {
-    // The fig5/6 regression: enum pricing and the equivalent registry spec
-    // must produce field-for-field identical SimResults, budgeted and not,
-    // on flat and regional grids.
-    const double budget =
-        shared_simulator().run(sm::SimOptions{}).total_cost * 0.6;
-    for (const auto pricing : {ac::Method::Eba, ac::Method::Cba}) {
-        for (const bool regional : {false, true}) {
-            for (const double b : {0.0, budget}) {
-                sm::SimOptions by_enum;
-                by_enum.pricing = pricing;
-                by_enum.budget = b;
-                by_enum.regional_grids = regional;
-                sm::SimOptions by_spec = by_enum;
-                by_spec.accountant_spec = ac::to_spec(pricing);
-                SCOPED_TRACE(std::string(ac::to_string(pricing)) +
-                             (regional ? "/regional" : "/flat"));
-                expect_identical(shared_simulator().run(by_enum),
-                                 shared_simulator().run(by_spec));
-            }
-        }
-    }
-}
-
 TEST(SpecPricing, CompositeAccountantsRunEndToEnd) {
     for (const auto& spec : ac::beyond_paper_accountants()) {
         sm::SimOptions o;
-        o.accountant_spec = spec;
+        o.pricing = spec;
         const auto r = shared_simulator().run(o);
         EXPECT_EQ(r.jobs_completed + r.jobs_skipped,
                   shared_simulator().workload().jobs.size())
@@ -288,22 +253,20 @@ TEST(SpecPricing, CompositeAccountantsRunEndToEnd) {
 
 TEST(SpecPricing, SweepAxisMatchesDirectRunsAndLabels) {
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy};
-    grid.pricings = {ac::Method::Eba};
-    grid.accountant_specs = {ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}}};
+    grid.pricings = {ac::AccountantSpec{"EBA", {}},
+                     ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}}};
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 2u);
     EXPECT_EQ(specs[0].label, "Greedy/EBA");
     EXPECT_EQ(specs[1].label, "Greedy/CarbonTax(rate=0.02)");
-    EXPECT_FALSE(specs[0].options.accountant_spec.has_value());
-    ASSERT_TRUE(specs[1].options.accountant_spec.has_value());
-    EXPECT_DOUBLE_EQ(specs[1].options.accountant_spec->param("rate", 0.0), 0.02);
+    EXPECT_EQ(specs[0].options.pricing, (ac::AccountantSpec{"EBA", {}}));
+    EXPECT_DOUBLE_EQ(specs[1].options.pricing.param("rate", 0.0), 0.02);
 
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(specs);
     ASSERT_EQ(outcomes.size(), 2u);
     sm::SimOptions direct;
-    direct.accountant_spec = ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
+    direct.pricing = ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
     expect_identical(outcomes[1].result, shared_simulator().run(direct));
 }
 
@@ -340,14 +303,14 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
     }
 
     sm::SimOptions o;
-    o.accountant_spec = ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}};
+    o.pricing = ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}};
     const auto direct = shared_simulator().run(o);
     EXPECT_EQ(direct.jobs_completed + direct.jobs_skipped,
               shared_simulator().workload().jobs.size());
 
     // And by name through the sweep engine, bit-identical to the direct run.
     sm::SweepGrid grid;
-    grid.accountant_specs = {ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}}};
+    grid.pricings = {ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}}};
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(grid);
     ASSERT_EQ(outcomes.size(), 1u);
@@ -357,11 +320,11 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
 
 // ------------------------------------- dual-budget (core-hours AND gCO2e)
 sm::CurrencyBudget core_hours(double budget) {
-    return sm::CurrencyBudget{"core-hours", ac::to_spec(ac::Method::Runtime),
+    return sm::CurrencyBudget{"core-hours", ac::AccountantSpec{"Runtime", {}},
                               budget};
 }
 sm::CurrencyBudget carbon_credits(double budget) {
-    return sm::CurrencyBudget{"gCO2e", ac::to_spec(ac::Method::Cba), budget};
+    return sm::CurrencyBudget{"gCO2e", ac::AccountantSpec{"CBA", {}}, budget};
 }
 
 TEST(DualBudget, UnlimitedCurrenciesMatchTheSingleBudgetRunExactly) {
@@ -418,12 +381,12 @@ TEST(DualBudget, SweepParallelBitIdenticalToSerial) {
     const double full_g = full.currency_spent.at("gCO2e");
 
     std::vector<sm::ScenarioSpec> specs;
-    for (const auto policy : {sm::Policy::Greedy, sm::Policy::Eft}) {
+    for (const char* policy : {"Greedy", "EFT"}) {
         for (const double carbon_frac : {0.25, 0.5, 1.0}) {
             sm::ScenarioSpec spec;
-            spec.label = std::string(sm::to_string(policy)) + "/carbon=" +
+            spec.label = std::string(policy) + "/carbon=" +
                          std::to_string(carbon_frac);
-            spec.options.policy = policy;
+            spec.options.policy = sm::PolicySpec{policy, {}};
             spec.options.currency_budgets = {
                 core_hours(full_ch), carbon_credits(full_g * carbon_frac)};
             specs.push_back(std::move(spec));
@@ -444,7 +407,8 @@ TEST(DualBudget, InvalidCurrencyConfigsAreRejected) {
     sm::SimOptions o;
     o.currency_budgets = {core_hours(10.0), core_hours(20.0)};  // duplicate
     EXPECT_THROW((void)shared_simulator().run(o), ga::util::PreconditionError);
-    o.currency_budgets = {sm::CurrencyBudget{"", ac::to_spec(ac::Method::Cba), 1.0}};
+    o.currency_budgets = {
+        sm::CurrencyBudget{"", ac::AccountantSpec{"CBA", {}}, 1.0}};
     EXPECT_THROW((void)shared_simulator().run(o), ga::util::PreconditionError);
     o.currency_budgets = {core_hours(-1.0)};
     EXPECT_THROW((void)shared_simulator().run(o), ga::util::PreconditionError);
@@ -455,221 +419,221 @@ TEST(DualBudget, InvalidCurrencyConfigsAreRejected) {
 
 const std::vector<BaselineRow>& baseline_rows() {
     static const std::vector<BaselineRow> rows = {
-    {0, "Desktop", 0, 0x1p+2},
-    {0, "Desktop", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "Desktop", 2, 0x1.8p+11},
-    {0, "Desktop", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "Cascade Lake", 0, 0x1p+2},
-    {0, "Cascade Lake", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "Cascade Lake", 2, 0x1.8p+11},
-    {0, "Cascade Lake", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "Ice Lake", 0, 0x1p+2},
-    {0, "Ice Lake", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "Ice Lake", 2, 0x1.8p+11},
-    {0, "Ice Lake", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "Zen3", 0, 0x1p+2},
-    {0, "Zen3", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "Zen3", 2, 0x1.8p+11},
-    {0, "Zen3", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "FASTER", 0, 0x1p+2},
-    {0, "FASTER", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "FASTER", 2, 0x1.8p+11},
-    {0, "FASTER", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "IC", 0, 0x1p+2},
-    {0, "IC", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "IC", 2, 0x1.8p+11},
-    {0, "IC", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "Theta", 0, 0x1p+2},
-    {0, "Theta", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "Theta", 2, 0x1.8p+11},
-    {0, "Theta", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "P100", 0, 0x1p+2},
-    {0, "P100", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "P100", 2, 0x1.8p+11},
-    {0, "P100", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "P100", 4, 0x1p+2},
-    {0, "V100", 0, 0x1p+2},
-    {0, "V100", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "V100", 2, 0x1.8p+11},
-    {0, "V100", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "V100", 4, 0x1p+2},
-    {0, "A100", 0, 0x1p+2},
-    {0, "A100", 1, 0x1.85c28f5c28f5cp+3},
-    {0, "A100", 2, 0x1.8p+11},
-    {0, "A100", 3, 0x1.8091a2b3c4d5ep-7},
-    {0, "A100", 4, 0x1p+2},
-    {1, "Desktop", 0, 0x1.b774p+20},
-    {1, "Desktop", 1, 0x1.a0fep+18},
-    {1, "Desktop", 2, 0x1.312dp+29},
-    {1, "Desktop", 3, 0x1.86ap+13},
-    {1, "Cascade Lake", 0, 0x1.b774p+20},
-    {1, "Cascade Lake", 1, 0x1.a0fep+18},
-    {1, "Cascade Lake", 2, 0x1.312dp+29},
-    {1, "Cascade Lake", 3, 0x1.86ap+13},
-    {1, "Ice Lake", 0, 0x1.b774p+20},
-    {1, "Ice Lake", 1, 0x1.a0fep+18},
-    {1, "Ice Lake", 2, 0x1.312dp+29},
-    {1, "Ice Lake", 3, 0x1.86ap+13},
-    {1, "Zen3", 0, 0x1.b774p+20},
-    {1, "Zen3", 1, 0x1.a0fep+18},
-    {1, "Zen3", 2, 0x1.312dp+29},
-    {1, "Zen3", 3, 0x1.86ap+13},
-    {1, "FASTER", 0, 0x1.b774p+20},
-    {1, "FASTER", 1, 0x1.a0fep+18},
-    {1, "FASTER", 2, 0x1.312dp+29},
-    {1, "FASTER", 3, 0x1.86ap+13},
-    {1, "IC", 0, 0x1.b774p+20},
-    {1, "IC", 1, 0x1.a0fep+18},
-    {1, "IC", 2, 0x1.312dp+29},
-    {1, "IC", 3, 0x1.86ap+13},
-    {1, "Theta", 0, 0x1.b774p+20},
-    {1, "Theta", 1, 0x1.a0fep+18},
-    {1, "Theta", 2, 0x1.312dp+29},
-    {1, "Theta", 3, 0x1.86ap+13},
-    {1, "P100", 0, 0x1.b774p+20},
-    {1, "P100", 1, 0x1.a0fep+18},
-    {1, "P100", 2, 0x1.312dp+29},
-    {1, "P100", 3, 0x1.86ap+13},
-    {1, "P100", 4, 0x1.24f8p+23},
-    {1, "V100", 0, 0x1.b774p+20},
-    {1, "V100", 1, 0x1.a0fep+18},
-    {1, "V100", 2, 0x1.312dp+29},
-    {1, "V100", 3, 0x1.86ap+13},
-    {1, "V100", 4, 0x1.24f8p+23},
-    {1, "A100", 0, 0x1.b774p+20},
-    {1, "A100", 1, 0x1.a0fep+18},
-    {1, "A100", 2, 0x1.312dp+29},
-    {1, "A100", 3, 0x1.86ap+13},
-    {1, "A100", 4, 0x1.24f8p+23},
-    {2, "Desktop", 0, 0x1.7333333333333p+3},
-    {2, "Desktop", 1, 0x1.1a9374bc6a7fp+5},
-    {2, "Desktop", 2, 0x1.1666666666666p+13},
-    {2, "Desktop", 3, 0x1.16cffc5beeb4bp-5},
-    {2, "Cascade Lake", 0, 0x1.2p+3},
-    {2, "Cascade Lake", 1, 0x1.b67ae147ae148p+4},
-    {2, "Cascade Lake", 2, 0x1.bp+12},
-    {2, "Cascade Lake", 3, 0x1.b0a3d70a3d70ap-6},
-    {2, "Ice Lake", 0, 0x1.399999999999ap+3},
-    {2, "Ice Lake", 1, 0x1.dd74bc6a7ef9ep+4},
-    {2, "Ice Lake", 2, 0x1.d666666666666p+12},
-    {2, "Ice Lake", 3, 0x1.d718cdb5d11fap-6},
-    {2, "Zen3", 0, 0x1.4666666666666p+3},
-    {2, "Zen3", 1, 0x1.f0f1a9fbe76c9p+4},
-    {2, "Zen3", 2, 0x1.e99999999999ap+12},
-    {2, "Zen3", 3, 0x1.ea53490b9af72p-6},
-    {2, "FASTER", 0, 0x1.3333333333333p+3},
-    {2, "FASTER", 1, 0x1.d3b645a1cac08p+4},
-    {2, "FASTER", 2, 0x1.ccccccccccccdp+12},
-    {2, "FASTER", 3, 0x1.cd7b900aec33dp-6},
-    {2, "IC", 0, 0x1.2p+3},
-    {2, "IC", 1, 0x1.b67ae147ae148p+4},
-    {2, "IC", 2, 0x1.bp+12},
-    {2, "IC", 3, 0x1.b0a3d70a3d70ap-6},
-    {2, "Theta", 0, 0x1.199999999999ap+2},
-    {2, "Theta", 1, 0x1.acbc6a7ef9db2p+3},
-    {2, "Theta", 2, 0x1.a666666666666p+11},
-    {2, "Theta", 3, 0x1.a706995f5884ep-7},
-    {2, "P100", 0, 0x1p+3},
-    {2, "P100", 1, 0x1.85c28f5c28f5cp+4},
-    {2, "P100", 2, 0x1.8p+12},
-    {2, "P100", 3, 0x1.8091a2b3c4d5ep-6},
-    {2, "P100", 4, 0x1.acccccccccccdp+4},
-    {2, "V100", 0, 0x1p+3},
-    {2, "V100", 1, 0x1.85c28f5c28f5cp+4},
-    {2, "V100", 2, 0x1.8p+12},
-    {2, "V100", 3, 0x1.8091a2b3c4d5ep-6},
-    {2, "V100", 4, 0x1.cp+5},
-    {2, "A100", 0, 0x1p+3},
-    {2, "A100", 1, 0x1.85c28f5c28f5cp+4},
-    {2, "A100", 2, 0x1.8p+12},
-    {2, "A100", 3, 0x1.8091a2b3c4d5ep-6},
-    {2, "A100", 4, 0x1.2p+6},
-    {3, "Desktop", 0, 0x1.c5bc4p+19},
-    {3, "Desktop", 1, 0x1.27799p+18},
-    {3, "Desktop", 2, 0x1.46996p+28},
-    {3, "Desktop", 3, 0x1.8bfd2p+12},
-    {3, "Cascade Lake", 0, 0x1.d57b8p+19},
-    {3, "Cascade Lake", 1, 0x1.875fep+18},
-    {3, "Cascade Lake", 2, 0x1.5e384p+28},
-    {3, "Cascade Lake", 3, 0x1.91e7155555555p+12},
-    {3, "Ice Lake", 0, 0x1.cf2fp+19},
-    {3, "Ice Lake", 1, 0x1.6103cp+18},
-    {3, "Ice Lake", 2, 0x1.54c58p+28},
-    {3, "Ice Lake", 3, 0x1.8f898p+12},
-    {3, "Zen3", 0, 0x1.c6d58p+19},
-    {3, "Zen3", 1, 0x1.2e2a6p+18},
-    {3, "Zen3", 2, 0x1.483f4p+28},
-    {3, "Zen3", 3, 0x1.8c66cp+12},
-    {3, "FASTER", 0, 0x1.cdf9ap+19},
-    {3, "FASTER", 1, 0x1.59a7a8p+18},
-    {3, "FASTER", 2, 0x1.52f57p+28},
-    {3, "FASTER", 3, 0x1.8f155p+12},
-    {3, "IC", 0, 0x1.d57b8p+19},
-    {3, "IC", 1, 0x1.875fep+18},
-    {3, "IC", 2, 0x1.5e384p+28},
-    {3, "IC", 3, 0x1.91e7155555555p+12},
-    {3, "Theta", 0, 0x1.c3437p+19},
-    {3, "Theta", 1, 0x1.186bbcp+18},
-    {3, "Theta", 2, 0x1.42e428p+28},
-    {3, "Theta", 3, 0x1.8b0f78p+12},
-    {3, "P100", 0, 0x1.d8698p+19},
-    {3, "P100", 1, 0x1.99376p+18},
-    {3, "P100", 2, 0x1.629d4p+28},
-    {3, "P100", 3, 0x1.9300cp+12},
-    {3, "P100", 4, 0x1.92d5p+22},
-    {3, "V100", 0, 0x1.d8698p+19},
-    {3, "V100", 1, 0x1.99376p+18},
-    {3, "V100", 2, 0x1.629d4p+28},
-    {3, "V100", 3, 0x1.9300cp+12},
-    {3, "V100", 4, 0x1.92d5p+22},
-    {3, "A100", 0, 0x1.d8698p+19},
-    {3, "A100", 1, 0x1.99376p+18},
-    {3, "A100", 2, 0x1.629d4p+28},
-    {3, "A100", 3, 0x1.9300cp+12},
-    {3, "A100", 4, 0x1.d4cp+22},
-    {4, "Desktop", 0, 0x1.c830c98baf508p+7},
-    {4, "Desktop", 1, 0x1.c97a0d27a2fdep+5},
-    {4, "Desktop", 2, 0x1.3e904ac34e153p+16},
-    {4, "Desktop", 3, 0x1.9460d43994544p+0},
-    {4, "Cascade Lake", 0, 0x1.c71a15d95ce97p+7},
-    {4, "Cascade Lake", 1, 0x1.bc377635ea876p+5},
-    {4, "Cascade Lake", 2, 0x1.3cee3d37d27aap+16},
-    {4, "Cascade Lake", 3, 0x1.93f829337b124p+0},
-    {4, "Ice Lake", 0, 0x1.c9f27a4346807p+7},
-    {4, "Ice Lake", 1, 0x1.dedf477d5eb16p+5},
-    {4, "Ice Lake", 2, 0x1.4132d3d6b0dd1p+16},
-    {4, "Ice Lake", 3, 0x1.9509b673266c8p+0},
-    {4, "Zen3", 0, 0x1.cc29bb44086aap+7},
-    {4, "Zen3", 1, 0x1.f9dc6e95f4bcp+5},
-    {4, "Zen3", 2, 0x1.4485b557d3bc6p+16},
-    {4, "Zen3", 3, 0x1.95debf8084de1p+0},
-    {4, "FASTER", 0, 0x1.924e51d39474ep+7},
-    {4, "FASTER", 1, 0x1.09978fe7cf7f1p+6},
-    {4, "FASTER", 2, 0x1.221908f6423d8p+16},
-    {4, "FASTER", 3, 0x1.5ec65f956eef9p+0},
-    {4, "IC", 0, 0x1.c89f59ea65d6cp+7},
-    {4, "IC", 1, 0x1.cebcb8618f948p+5},
-    {4, "IC", 2, 0x1.3f3623515fde9p+16},
-    {4, "IC", 3, 0x1.948a5a169b6ffp+0},
-    {4, "Theta", 0, 0x1.f6401317bb4b5p+7},
-    {4, "Theta", 1, 0x1.df64098b6eeebp+5},
-    {4, "Theta", 2, 0x1.5cfc8e6ab562cp+16},
-    {4, "Theta", 3, 0x1.be50f3d40180fp+0},
-    {4, "P100", 0, 0x1.baa8d8e36457dp+4},
-    {4, "P100", 1, 0x1.3acd18eba958cp+3},
-    {4, "P100", 2, 0x1.426f0c71884adp+13},
-    {4, "P100", 3, 0x1.7fe586eddc4c3p-3},
-    {4, "P100", 4, 0x1.3ffc5c71735a4p+7},
-    {4, "V100", 0, 0x1.df5cbe589e969p+4},
-    {4, "V100", 1, 0x1.0d290d8f44bffp+4},
-    {4, "V100", 2, 0x1.797ce4a15fa9p+13},
-    {4, "V100", 3, 0x1.8dae3547f74abp-3},
-    {4, "V100", 4, 0x1.6a252bb51eb0ap+7},
-    {4, "A100", 0, 0x1.59340aa92ba01p+5},
-    {4, "A100", 1, 0x1.c7e526b850a4bp+5},
-    {4, "A100", 2, 0x1.5b06f38bfa53ap+14},
-    {4, "A100", 3, 0x1.dcf079c90575ep-3},
-    {4, "A100", 4, 0x1.48d5f6edcfa7p+8},
+{"Runtime", "Desktop", 0, 0x1p+2},
+{"Runtime", "Desktop", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "Desktop", 2, 0x1.8p+11},
+{"Runtime", "Desktop", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "Cascade Lake", 0, 0x1p+2},
+{"Runtime", "Cascade Lake", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "Cascade Lake", 2, 0x1.8p+11},
+{"Runtime", "Cascade Lake", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "Ice Lake", 0, 0x1p+2},
+{"Runtime", "Ice Lake", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "Ice Lake", 2, 0x1.8p+11},
+{"Runtime", "Ice Lake", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "Zen3", 0, 0x1p+2},
+{"Runtime", "Zen3", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "Zen3", 2, 0x1.8p+11},
+{"Runtime", "Zen3", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "FASTER", 0, 0x1p+2},
+{"Runtime", "FASTER", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "FASTER", 2, 0x1.8p+11},
+{"Runtime", "FASTER", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "IC", 0, 0x1p+2},
+{"Runtime", "IC", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "IC", 2, 0x1.8p+11},
+{"Runtime", "IC", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "Theta", 0, 0x1p+2},
+{"Runtime", "Theta", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "Theta", 2, 0x1.8p+11},
+{"Runtime", "Theta", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "P100", 0, 0x1p+2},
+{"Runtime", "P100", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "P100", 2, 0x1.8p+11},
+{"Runtime", "P100", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "P100", 4, 0x1p+2},
+{"Runtime", "V100", 0, 0x1p+2},
+{"Runtime", "V100", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "V100", 2, 0x1.8p+11},
+{"Runtime", "V100", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "V100", 4, 0x1p+2},
+{"Runtime", "A100", 0, 0x1p+2},
+{"Runtime", "A100", 1, 0x1.85c28f5c28f5cp+3},
+{"Runtime", "A100", 2, 0x1.8p+11},
+{"Runtime", "A100", 3, 0x1.8091a2b3c4d5ep-7},
+{"Runtime", "A100", 4, 0x1p+2},
+{"Energy", "Desktop", 0, 0x1.b774p+20},
+{"Energy", "Desktop", 1, 0x1.a0fep+18},
+{"Energy", "Desktop", 2, 0x1.312dp+29},
+{"Energy", "Desktop", 3, 0x1.86ap+13},
+{"Energy", "Cascade Lake", 0, 0x1.b774p+20},
+{"Energy", "Cascade Lake", 1, 0x1.a0fep+18},
+{"Energy", "Cascade Lake", 2, 0x1.312dp+29},
+{"Energy", "Cascade Lake", 3, 0x1.86ap+13},
+{"Energy", "Ice Lake", 0, 0x1.b774p+20},
+{"Energy", "Ice Lake", 1, 0x1.a0fep+18},
+{"Energy", "Ice Lake", 2, 0x1.312dp+29},
+{"Energy", "Ice Lake", 3, 0x1.86ap+13},
+{"Energy", "Zen3", 0, 0x1.b774p+20},
+{"Energy", "Zen3", 1, 0x1.a0fep+18},
+{"Energy", "Zen3", 2, 0x1.312dp+29},
+{"Energy", "Zen3", 3, 0x1.86ap+13},
+{"Energy", "FASTER", 0, 0x1.b774p+20},
+{"Energy", "FASTER", 1, 0x1.a0fep+18},
+{"Energy", "FASTER", 2, 0x1.312dp+29},
+{"Energy", "FASTER", 3, 0x1.86ap+13},
+{"Energy", "IC", 0, 0x1.b774p+20},
+{"Energy", "IC", 1, 0x1.a0fep+18},
+{"Energy", "IC", 2, 0x1.312dp+29},
+{"Energy", "IC", 3, 0x1.86ap+13},
+{"Energy", "Theta", 0, 0x1.b774p+20},
+{"Energy", "Theta", 1, 0x1.a0fep+18},
+{"Energy", "Theta", 2, 0x1.312dp+29},
+{"Energy", "Theta", 3, 0x1.86ap+13},
+{"Energy", "P100", 0, 0x1.b774p+20},
+{"Energy", "P100", 1, 0x1.a0fep+18},
+{"Energy", "P100", 2, 0x1.312dp+29},
+{"Energy", "P100", 3, 0x1.86ap+13},
+{"Energy", "P100", 4, 0x1.24f8p+23},
+{"Energy", "V100", 0, 0x1.b774p+20},
+{"Energy", "V100", 1, 0x1.a0fep+18},
+{"Energy", "V100", 2, 0x1.312dp+29},
+{"Energy", "V100", 3, 0x1.86ap+13},
+{"Energy", "V100", 4, 0x1.24f8p+23},
+{"Energy", "A100", 0, 0x1.b774p+20},
+{"Energy", "A100", 1, 0x1.a0fep+18},
+{"Energy", "A100", 2, 0x1.312dp+29},
+{"Energy", "A100", 3, 0x1.86ap+13},
+{"Energy", "A100", 4, 0x1.24f8p+23},
+{"Peak", "Desktop", 0, 0x1.7333333333333p+3},
+{"Peak", "Desktop", 1, 0x1.1a9374bc6a7fp+5},
+{"Peak", "Desktop", 2, 0x1.1666666666666p+13},
+{"Peak", "Desktop", 3, 0x1.16cffc5beeb4bp-5},
+{"Peak", "Cascade Lake", 0, 0x1.2p+3},
+{"Peak", "Cascade Lake", 1, 0x1.b67ae147ae148p+4},
+{"Peak", "Cascade Lake", 2, 0x1.bp+12},
+{"Peak", "Cascade Lake", 3, 0x1.b0a3d70a3d70ap-6},
+{"Peak", "Ice Lake", 0, 0x1.399999999999ap+3},
+{"Peak", "Ice Lake", 1, 0x1.dd74bc6a7ef9ep+4},
+{"Peak", "Ice Lake", 2, 0x1.d666666666666p+12},
+{"Peak", "Ice Lake", 3, 0x1.d718cdb5d11fap-6},
+{"Peak", "Zen3", 0, 0x1.4666666666666p+3},
+{"Peak", "Zen3", 1, 0x1.f0f1a9fbe76c9p+4},
+{"Peak", "Zen3", 2, 0x1.e99999999999ap+12},
+{"Peak", "Zen3", 3, 0x1.ea53490b9af72p-6},
+{"Peak", "FASTER", 0, 0x1.3333333333333p+3},
+{"Peak", "FASTER", 1, 0x1.d3b645a1cac08p+4},
+{"Peak", "FASTER", 2, 0x1.ccccccccccccdp+12},
+{"Peak", "FASTER", 3, 0x1.cd7b900aec33dp-6},
+{"Peak", "IC", 0, 0x1.2p+3},
+{"Peak", "IC", 1, 0x1.b67ae147ae148p+4},
+{"Peak", "IC", 2, 0x1.bp+12},
+{"Peak", "IC", 3, 0x1.b0a3d70a3d70ap-6},
+{"Peak", "Theta", 0, 0x1.199999999999ap+2},
+{"Peak", "Theta", 1, 0x1.acbc6a7ef9db2p+3},
+{"Peak", "Theta", 2, 0x1.a666666666666p+11},
+{"Peak", "Theta", 3, 0x1.a706995f5884ep-7},
+{"Peak", "P100", 0, 0x1p+3},
+{"Peak", "P100", 1, 0x1.85c28f5c28f5cp+4},
+{"Peak", "P100", 2, 0x1.8p+12},
+{"Peak", "P100", 3, 0x1.8091a2b3c4d5ep-6},
+{"Peak", "P100", 4, 0x1.acccccccccccdp+4},
+{"Peak", "V100", 0, 0x1p+3},
+{"Peak", "V100", 1, 0x1.85c28f5c28f5cp+4},
+{"Peak", "V100", 2, 0x1.8p+12},
+{"Peak", "V100", 3, 0x1.8091a2b3c4d5ep-6},
+{"Peak", "V100", 4, 0x1.cp+5},
+{"Peak", "A100", 0, 0x1p+3},
+{"Peak", "A100", 1, 0x1.85c28f5c28f5cp+4},
+{"Peak", "A100", 2, 0x1.8p+12},
+{"Peak", "A100", 3, 0x1.8091a2b3c4d5ep-6},
+{"Peak", "A100", 4, 0x1.2p+6},
+{"EBA", "Desktop", 0, 0x1.c5bc4p+19},
+{"EBA", "Desktop", 1, 0x1.27799p+18},
+{"EBA", "Desktop", 2, 0x1.46996p+28},
+{"EBA", "Desktop", 3, 0x1.8bfd2p+12},
+{"EBA", "Cascade Lake", 0, 0x1.d57b8p+19},
+{"EBA", "Cascade Lake", 1, 0x1.875fep+18},
+{"EBA", "Cascade Lake", 2, 0x1.5e384p+28},
+{"EBA", "Cascade Lake", 3, 0x1.91e7155555555p+12},
+{"EBA", "Ice Lake", 0, 0x1.cf2fp+19},
+{"EBA", "Ice Lake", 1, 0x1.6103cp+18},
+{"EBA", "Ice Lake", 2, 0x1.54c58p+28},
+{"EBA", "Ice Lake", 3, 0x1.8f898p+12},
+{"EBA", "Zen3", 0, 0x1.c6d58p+19},
+{"EBA", "Zen3", 1, 0x1.2e2a6p+18},
+{"EBA", "Zen3", 2, 0x1.483f4p+28},
+{"EBA", "Zen3", 3, 0x1.8c66cp+12},
+{"EBA", "FASTER", 0, 0x1.cdf9ap+19},
+{"EBA", "FASTER", 1, 0x1.59a7a8p+18},
+{"EBA", "FASTER", 2, 0x1.52f57p+28},
+{"EBA", "FASTER", 3, 0x1.8f155p+12},
+{"EBA", "IC", 0, 0x1.d57b8p+19},
+{"EBA", "IC", 1, 0x1.875fep+18},
+{"EBA", "IC", 2, 0x1.5e384p+28},
+{"EBA", "IC", 3, 0x1.91e7155555555p+12},
+{"EBA", "Theta", 0, 0x1.c3437p+19},
+{"EBA", "Theta", 1, 0x1.186bbcp+18},
+{"EBA", "Theta", 2, 0x1.42e428p+28},
+{"EBA", "Theta", 3, 0x1.8b0f78p+12},
+{"EBA", "P100", 0, 0x1.d8698p+19},
+{"EBA", "P100", 1, 0x1.99376p+18},
+{"EBA", "P100", 2, 0x1.629d4p+28},
+{"EBA", "P100", 3, 0x1.9300cp+12},
+{"EBA", "P100", 4, 0x1.92d5p+22},
+{"EBA", "V100", 0, 0x1.d8698p+19},
+{"EBA", "V100", 1, 0x1.99376p+18},
+{"EBA", "V100", 2, 0x1.629d4p+28},
+{"EBA", "V100", 3, 0x1.9300cp+12},
+{"EBA", "V100", 4, 0x1.92d5p+22},
+{"EBA", "A100", 0, 0x1.d8698p+19},
+{"EBA", "A100", 1, 0x1.99376p+18},
+{"EBA", "A100", 2, 0x1.629d4p+28},
+{"EBA", "A100", 3, 0x1.9300cp+12},
+{"EBA", "A100", 4, 0x1.d4cp+22},
+{"CBA", "Desktop", 0, 0x1.c830c98baf508p+7},
+{"CBA", "Desktop", 1, 0x1.c97a0d27a2fdep+5},
+{"CBA", "Desktop", 2, 0x1.3e904ac34e153p+16},
+{"CBA", "Desktop", 3, 0x1.9460d43994544p+0},
+{"CBA", "Cascade Lake", 0, 0x1.c71a15d95ce97p+7},
+{"CBA", "Cascade Lake", 1, 0x1.bc377635ea876p+5},
+{"CBA", "Cascade Lake", 2, 0x1.3cee3d37d27aap+16},
+{"CBA", "Cascade Lake", 3, 0x1.93f829337b124p+0},
+{"CBA", "Ice Lake", 0, 0x1.c9f27a4346807p+7},
+{"CBA", "Ice Lake", 1, 0x1.dedf477d5eb16p+5},
+{"CBA", "Ice Lake", 2, 0x1.4132d3d6b0dd1p+16},
+{"CBA", "Ice Lake", 3, 0x1.9509b673266c8p+0},
+{"CBA", "Zen3", 0, 0x1.cc29bb44086aap+7},
+{"CBA", "Zen3", 1, 0x1.f9dc6e95f4bcp+5},
+{"CBA", "Zen3", 2, 0x1.4485b557d3bc6p+16},
+{"CBA", "Zen3", 3, 0x1.95debf8084de1p+0},
+{"CBA", "FASTER", 0, 0x1.924e51d39474ep+7},
+{"CBA", "FASTER", 1, 0x1.09978fe7cf7f1p+6},
+{"CBA", "FASTER", 2, 0x1.221908f6423d8p+16},
+{"CBA", "FASTER", 3, 0x1.5ec65f956eef9p+0},
+{"CBA", "IC", 0, 0x1.c89f59ea65d6cp+7},
+{"CBA", "IC", 1, 0x1.cebcb8618f948p+5},
+{"CBA", "IC", 2, 0x1.3f3623515fde9p+16},
+{"CBA", "IC", 3, 0x1.948a5a169b6ffp+0},
+{"CBA", "Theta", 0, 0x1.f6401317bb4b5p+7},
+{"CBA", "Theta", 1, 0x1.df64098b6eeebp+5},
+{"CBA", "Theta", 2, 0x1.5cfc8e6ab562cp+16},
+{"CBA", "Theta", 3, 0x1.be50f3d40180fp+0},
+{"CBA", "P100", 0, 0x1.baa8d8e36457dp+4},
+{"CBA", "P100", 1, 0x1.3acd18eba958cp+3},
+{"CBA", "P100", 2, 0x1.426f0c71884adp+13},
+{"CBA", "P100", 3, 0x1.7fe586eddc4c3p-3},
+{"CBA", "P100", 4, 0x1.3ffc5c71735a4p+7},
+{"CBA", "V100", 0, 0x1.df5cbe589e969p+4},
+{"CBA", "V100", 1, 0x1.0d290d8f44bffp+4},
+{"CBA", "V100", 2, 0x1.797ce4a15fa9p+13},
+{"CBA", "V100", 3, 0x1.8dae3547f74abp-3},
+{"CBA", "V100", 4, 0x1.6a252bb51eb0ap+7},
+{"CBA", "A100", 0, 0x1.59340aa92ba01p+5},
+{"CBA", "A100", 1, 0x1.c7e526b850a4bp+5},
+{"CBA", "A100", 2, 0x1.5b06f38bfa53ap+14},
+{"CBA", "A100", 3, 0x1.dcf079c90575ep-3},
+{"CBA", "A100", 4, 0x1.48d5f6edcfa7p+8},
     };
     return rows;
 }

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/accounting.hpp"
 #include "core/allocation.hpp"
@@ -134,25 +138,32 @@ TEST(Cba, LinearVsAcceleratedDepreciationSelectable) {
     EXPECT_GT(accel.embodied_g(u, zen), linear.embodied_g(u, zen));
 }
 
+std::unique_ptr<const ac::Accountant> make(const std::string& name) {
+    return ac::AccountantRegistry::global().make(ac::AccountantSpec{name, {}});
+}
+
 TEST(Methods, FactoryCoversAll) {
-    ASSERT_EQ(ac::all_methods().size(), 5u);
-    for (const auto m : ac::all_methods()) {
-        const auto acct = ac::make_accountant(m);
+    const std::vector<std::string> paper = {"Runtime", "Energy", "Peak", "EBA",
+                                            "CBA"};
+    ASSERT_EQ(ac::paper_accountants().size(), paper.size());
+    for (std::size_t i = 0; i < paper.size(); ++i) {
+        const auto& spec = ac::paper_accountants()[i];
+        EXPECT_EQ(spec, (ac::AccountantSpec{paper[i], {}}));
+        const auto acct = ac::AccountantRegistry::global().make(spec);
         ASSERT_NE(acct, nullptr);
-        EXPECT_EQ(acct->name(), ac::to_string(m));
+        EXPECT_EQ(acct->name(), spec.name);
         EXPECT_FALSE(std::string(acct->unit()).empty());
-        EXPECT_FALSE(std::string(ac::to_string(m)).empty());
     }
 }
 
 TEST(Methods, FromStringRoundTripsToString) {
-    for (const auto m : ac::all_methods()) {
-        const auto parsed = ac::method_from_string(ac::to_string(m));
-        ASSERT_TRUE(parsed.has_value()) << ac::to_string(m);
-        EXPECT_EQ(*parsed, m);
+    // A method is named by its registry string: the built accountant
+    // reports the same name back, and lookup is an exact match.
+    for (const auto& spec : ac::paper_accountants()) {
+        EXPECT_EQ(make(spec.name)->name(), spec.name);
     }
-    EXPECT_FALSE(ac::method_from_string("NoSuchMethod").has_value());
-    EXPECT_FALSE(ac::method_from_string("eba").has_value());  // exact match
+    EXPECT_THROW((void)make("NoSuchMethod"), ga::util::RuntimeError);
+    EXPECT_THROW((void)make("eba"), ga::util::RuntimeError);  // exact match
 }
 
 TEST(Methods, RejectInvalidUsage) {
@@ -167,11 +178,22 @@ TEST(Methods, RejectInvalidUsage) {
 }
 
 // Parameterized: every method is positively homogeneous in duration+energy
-// (doubling a job's time and energy doubles its charge).
-class MethodScaling : public ::testing::TestWithParam<ac::Method> {};
+// (doubling a job's time and energy doubles its charge). The parameter is
+// an index into paper_accountants(), wrapped in a plain struct so gtest
+// names each instance by its bytes.
+struct PaperMethod {
+    std::uint32_t index;
+};
+
+std::unique_ptr<const ac::Accountant> make(PaperMethod m) {
+    return ac::AccountantRegistry::global().make(
+        ac::paper_accountants().at(m.index));
+}
+
+class MethodScaling : public ::testing::TestWithParam<PaperMethod> {};
 
 TEST_P(MethodScaling, ChargeScalesLinearly) {
-    const auto acct = ac::make_accountant(GetParam());
+    const auto acct = make(GetParam());
     const auto& m = mc::find(mc::CatalogId::IceLake);
     const auto base = cpu_job(50.0, 300.0, 4);
     const auto doubled = cpu_job(100.0, 600.0, 4);
@@ -179,15 +201,15 @@ TEST_P(MethodScaling, ChargeScalesLinearly) {
 }
 
 TEST_P(MethodScaling, ChargeIsNonNegative) {
-    const auto acct = ac::make_accountant(GetParam());
+    const auto acct = make(GetParam());
     const auto& m = mc::find(mc::CatalogId::Theta);
     EXPECT_GE(acct->charge(cpu_job(0.0, 0.0, 1), m), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, MethodScaling,
-                         ::testing::Values(ac::Method::Runtime, ac::Method::Energy,
-                                           ac::Method::Peak, ac::Method::Eba,
-                                           ac::Method::Cba));
+                         ::testing::Values(PaperMethod{0}, PaperMethod{1},
+                                           PaperMethod{2}, PaperMethod{3},
+                                           PaperMethod{4}));
 
 // ---------------------------------------------------------------- allocation
 TEST(Allocation, ChargesAndRefuses) {

@@ -176,6 +176,26 @@ TEST(IoRobustness, ScenarioSchemaViolationsCarryTheFieldPath) {
             .find("arrival"),
         std::string::npos);
 
+    // Specs with out-of-domain parameters are built once at load, so they
+    // fail here with the key that named them, not later inside a run.
+    EXPECT_NE(error_path(R"json({"name": "x", "grid":
+                  {"policy_specs": ["Mixed(threshold=0.5)"]}})json")
+                  .find("grid.policy_specs[0]"),
+              std::string::npos);
+    EXPECT_NE(error_path(R"json({"name": "x", "grid":
+                  {"policies": ["Greedy", "BudgetPacing(slack=-1)"]}})json")
+                  .find("grid.policies[1]"),
+              std::string::npos);
+    EXPECT_NE(error_path(R"json({"name": "x", "options":
+                  {"pricing": "EBA(pue=1.58)"}})json")
+                  .find("options.pricing"),
+              std::string::npos);
+    EXPECT_NE(error_path(R"json({"name": "x", "options": {"currency_budgets":
+                  [{"currency": "c", "accountant": "CBA(depreciation=2)",
+                    "budget": 1}]}})json")
+                  .find("options.currency_budgets[0].accountant"),
+              std::string::npos);
+
     // Near-2^53 integers survive the schema layer exactly (nothing clamps
     // or wraps them), even though such a workload would never be built.
     const auto huge = ga::io::scenario_from_json(parse_json(

@@ -64,16 +64,13 @@ TEST(Scenario, MapsEveryAxisAndOption) {
       "workload": {"base_jobs": 500, "repetitions": 3, "users": 25,
                    "span_days": 4.5, "seed": 99},
       "options": {
-        "policy": "Mixed",
-        "policy_spec": {"name": "BudgetPacing", "params": {"slack": 1.25}},
-        "pricing": "CBA",
-        "accountant_spec": "CarbonTax(rate=0.02)",
+        "policy": {"name": "BudgetPacing", "params": {"slack": 1.25}},
+        "pricing": "CarbonTax(rate=0.02)",
         "currency_budgets": [
           {"currency": "core-hours", "accountant": "Runtime", "budget": 5e4},
           {"currency": "gCO2e", "accountant": {"name": "CBA"}, "budget": 1e4}
         ],
         "budget": 1234.5,
-        "mixed_threshold": 1.75,
         "regional_grids": true,
         "grid_seed": 123,
         "arrival_compression": 2.5,
@@ -86,7 +83,6 @@ TEST(Scenario, MapsEveryAxisAndOption) {
         "accountant_specs": [{"name": "Blended",
                               "params": {"carbon_weight": 0.5}}],
         "budgets": [0, 7e7],
-        "mixed_thresholds": [1.5, 2],
         "regional_grids": [false, true],
         "grid_seeds": [77, 78],
         "arrival_compressions": [1, 4],
@@ -104,39 +100,33 @@ TEST(Scenario, MapsEveryAxisAndOption) {
 
     // Base options, field for field.
     ga::sim::SimOptions expected;
-    expected.policy = ga::sim::Policy::Mixed;
-    expected.policy_spec = ga::sim::PolicySpec{"BudgetPacing", {{"slack", 1.25}}};
-    expected.pricing = ga::acct::Method::Cba;
-    expected.accountant_spec =
-        ga::acct::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
+    expected.policy = ga::sim::PolicySpec{"BudgetPacing", {{"slack", 1.25}}};
+    expected.pricing = ga::acct::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
     expected.currency_budgets = {
         {"core-hours", ga::acct::AccountantSpec{"Runtime", {}}, 5e4},
         {"gCO2e", ga::acct::AccountantSpec{"CBA", {}}, 1e4}};
     expected.budget = 1234.5;
-    expected.mixed_threshold = 1.75;
     expected.regional_grids = true;
     expected.grid_seed = 123;
     expected.arrival_compression = 2.5;
     expected.outage = ga::sim::ClusterOutage{1, 3600.0, 2};
     EXPECT_EQ(scenario.grid.base, expected);
 
-    // Axes, field for field.
+    // Axes, field for field: "policy_specs"/"accountant_specs" append to
+    // the "policies"/"pricings" axis after that key's entries.
     const auto& grid = scenario.grid;
     EXPECT_EQ(grid.policies,
-              (std::vector<ga::sim::Policy>{ga::sim::Policy::Greedy,
-                                            ga::sim::Policy::Eft}));
-    ASSERT_EQ(grid.policy_specs.size(), 2u);
-    EXPECT_EQ(grid.policy_specs[0],
-              (ga::sim::PolicySpec{"CarbonAware", {{"forecast", 1.0}}}));
-    EXPECT_EQ(grid.policy_specs[1], (ga::sim::PolicySpec{"LeastLoaded", {}}));
+              (std::vector<ga::sim::PolicySpec>{
+                  {"Greedy", {}},
+                  {"EFT", {}},
+                  {"CarbonAware", {{"forecast", 1.0}}},
+                  {"LeastLoaded", {}}}));
     EXPECT_EQ(grid.pricings,
-              (std::vector<ga::acct::Method>{ga::acct::Method::Eba,
-                                             ga::acct::Method::Runtime}));
-    ASSERT_EQ(grid.accountant_specs.size(), 1u);
-    EXPECT_EQ(grid.accountant_specs[0],
-              (ga::acct::AccountantSpec{"Blended", {{"carbon_weight", 0.5}}}));
+              (std::vector<ga::acct::AccountantSpec>{
+                  {"EBA", {}},
+                  {"Runtime", {}},
+                  {"Blended", {{"carbon_weight", 0.5}}}}));
     EXPECT_EQ(grid.budgets, (std::vector<double>{0.0, 7e7}));
-    EXPECT_EQ(grid.mixed_thresholds, (std::vector<double>{1.5, 2.0}));
     EXPECT_EQ(grid.regional_grids, (std::vector<bool>{false, true}));
     EXPECT_EQ(grid.grid_seeds, (std::vector<std::uint64_t>{77, 78}));
     EXPECT_EQ(grid.arrival_compressions, (std::vector<double>{1.0, 4.0}));
@@ -144,9 +134,20 @@ TEST(Scenario, MapsEveryAxisAndOption) {
     EXPECT_FALSE(grid.outages[0].has_value());
     EXPECT_EQ(*grid.outages[1], (ga::sim::ClusterOutage{0, 43200.0, 28}));
 
-    // 2 enum + 2 spec policies, 2 enum + 1 spec pricings, and five 2-point
-    // axes.
-    EXPECT_EQ(grid.size(), 4u * 3u * 2u * 2u * 2u * 2u * 2u * 2u);
+    // 4 policies, 3 pricings, and five 2-point axes.
+    EXPECT_EQ(grid.size(), 4u * 3u * 2u * 2u * 2u * 2u * 2u);
+
+    // The names keys and the specs keys are one parser: the same names
+    // under either key expand to identical scenarios.
+    const auto by_names = from_text(R"json({"name": "k", "grid": {
+        "policies": ["Greedy", "Mixed(threshold=1.5)", "FASTER"],
+        "pricings": ["CBA", {"name": "EBA", "params": {"beta": 0.5}}]}})json");
+    const auto by_specs = from_text(R"json({"name": "k", "grid": {
+        "policy_specs": ["Greedy", "Mixed(threshold=1.5)", "FASTER"],
+        "accountant_specs": ["CBA",
+                             {"name": "EBA", "params": {"beta": 0.5}}]}})json");
+    EXPECT_EQ(by_names.grid.expand(), by_specs.grid.expand());
+    EXPECT_EQ(by_names.grid.size(), 6u);
 }
 
 TEST(Scenario, BaseOptionsReachEveryExpandedPoint) {
@@ -174,14 +175,14 @@ TEST(Scenario, BaseOptionsReachEveryExpandedPoint) {
 TEST(Scenario, BasePolicySpecIsTheFallbackAxisPoint) {
     const auto scenario = from_text(R"json({
       "name": "spec-fallback",
-      "options": {"policy_spec": "CarbonAware(forecast=1)",
-                  "accountant_spec": "CarbonTax(rate=0.02)"}
+      "options": {"policy": "CarbonAware(forecast=1)",
+                  "pricing": "CarbonTax(rate=0.02)"}
     })json");
     const auto specs = scenario.grid.expand();
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].label, "CarbonAware(forecast=1)/CarbonTax(rate=0.02)");
-    ASSERT_TRUE(specs[0].options.policy_spec.has_value());
-    EXPECT_EQ(specs[0].options.policy_spec->name, "CarbonAware");
+    EXPECT_EQ(specs[0].options.policy,
+              (ga::sim::PolicySpec{"CarbonAware", {{"forecast", 1.0}}}));
 }
 
 // --------------------------------------------------------- diagnostics
@@ -195,6 +196,20 @@ TEST(Scenario, UnknownKeysNameTheirPath) {
     expect_error_mentions(
         R"json({"name": "x", "workload": {"base_jobs": 10, "sead": 1}})json",
         "workload.sead");
+    // Keys the one-spec-per-option schema no longer has: a Mixed threshold
+    // is a "policy" param, and every policy/pricing is already a spec.
+    expect_error_mentions(
+        R"json({"name": "x", "options": {"policy_spec": "Greedy"}})json",
+        "options.policy_spec");
+    expect_error_mentions(
+        R"json({"name": "x", "options": {"accountant_spec": "EBA"}})json",
+        "options.accountant_spec");
+    expect_error_mentions(
+        R"json({"name": "x", "options": {"mixed_threshold": 1.5}})json",
+        "options.mixed_threshold");
+    expect_error_mentions(
+        R"json({"name": "x", "grid": {"mixed_thresholds": [1.5]}})json",
+        "grid.mixed_thresholds");
 }
 
 TEST(Scenario, BadTypesNameTheirPath) {
@@ -232,7 +247,7 @@ TEST(Scenario, UnknownNamesListTheCandidates) {
         R"json({"name": "x", "grid": {"policy_specs": ["NoSuchPolicy"]}})json",
         "NoSuchPolicy");
     expect_error_mentions(
-        R"json({"name": "x", "options": {"accountant_spec": "NoSuchMethod"}})json",
+        R"json({"name": "x", "options": {"pricing": "NoSuchMethod"}})json",
         "NoSuchMethod");
     expect_error_mentions(
         R"json({"name": "x", "grid": {"pricings": ["EBAA"]}})json", "grid.pricings[0]");
@@ -260,7 +275,7 @@ TEST(Scenario, CanonicalJsonRoundTripsExactly) {
       "description": "canonical form survives load cycles",
       "workload": {"base_jobs": 250, "users": 10},
       "options": {
-        "policy_spec": "Mixed(threshold=1.5)",
+        "policy": "Mixed(threshold=1.5)",
         "pricing": "CBA",
         "currency_budgets": [
           {"currency": "gCO2e", "accountant": "CBA", "budget": 0.1}
@@ -391,9 +406,8 @@ TEST(ScenarioFiles, Fig5FileMatchesInCodeGrid) {
     const auto scenario =
         load_scenario_file(kScenarioDir / "fig5_eba_policies.json");
     ga::sim::SweepGrid in_code;
-    in_code.base.pricing = ga::acct::Method::Eba;
-    in_code.policies = ga::sim::all_policies();
-    in_code.accountant_specs = {ga::acct::to_spec(ga::acct::Method::Eba)};
+    in_code.policies = ga::sim::paper_policies();
+    in_code.pricings = {ga::acct::AccountantSpec{"EBA", {}}};
     EXPECT_EQ(scenario.grid.expand(), in_code.expand());
     // Paper scale: the full 142,380-job workload.
     EXPECT_EQ(scenario.workload.total_jobs(),
