@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -262,20 +263,34 @@ private:
     std::vector<std::deque<std::uint32_t>> queues_;
 };
 
-/// The indexed queue behind `run`. Three structural changes over the linear
-/// deque-of-ids, each preserving FIFO scan order (so scheduling decisions
-/// stay bit-identical):
+/// The indexed queue behind `run`. It starts exactly the entries the linear
+/// walk starts, in the same FIFO order and from the same window (the first
+/// min(kBackfillDepth, depth) entries at drain start), so scheduling stays
+/// bit-identical; it just examines far fewer of them:
 ///
-///   * entries carry their core demand and user inline, so the hot
-///     kBackfillDepth scan streams contiguous 12-byte records instead of
-///     chasing a random trace-array read per queued job;
+///   * the window is indexed by user. Each window entry owns a node in a
+///     kBackfillDepth-node pool holding its user and core demand, and each
+///     user's nodes form a FIFO list. A min-tree over the pool holds the
+///     push sequence of every not-running user's first window entry. Every
+///     window entry before the tree's minimum belongs to a running user,
+///     which the one-job-per-user rule rejects, so a drain starts there (a
+///     binary search by sequence) and returns at once when the tree is
+///     empty. `note_start` / `note_finish` keep the tree in step with the
+///     rule. From the first candidate on, the walk is linear: a window
+///     blocked on cores rather than users costs one plain step per entry
+///     (a queue record and its pool node), not a tree update;
 ///   * a per-cluster bucket count of queued core demands with a cached
-///     minimum lets a drain pass exit in O(1) whenever the smallest queued
-///     demand exceeds the free cores (the common state of a saturated
-///     cluster) — skipped jobs could not have started, so the early exit is
-///     unobservable;
-///   * the outage walk compacts in one O(queue) pass instead of the
-///     linear executor's per-erase shifting.
+///     minimum lets a drain exit in O(1) whenever the smallest queued demand
+///     exceeds the free cores (the common state of a saturated cluster);
+///   * the outage walk compacts in one O(queue) pass, then rebuilds the
+///     window index.
+///
+/// Both early exits are unobservable: within one drain, free cores only
+/// shrink and users only start running, so an entry that cannot start now
+/// cannot start later in the same drain. Entries that slide into the window
+/// as others start are indexed at drain end, as the linear walk would first
+/// see them in the next drain. The index is sized by the window and the user
+/// count, never by trace length.
 ///
 /// It also opts into the submit fast path (`kImmediateStart`): a job
 /// arriving at an empty queue that can start now skips the queue entirely.
@@ -284,81 +299,229 @@ public:
     static constexpr bool kImmediateStart = true;
 
     void reset(std::size_t n_clusters, std::size_t /*n_jobs*/,
-               const ga::workload::TraceJob* /*jobs*/, int max_cores) {
+               const ga::workload::TraceJob* jobs, int max_cores) {
+        jobs_ = jobs;
         max_cores_ = max_cores;
         if (clusters_.size() != n_clusters) clusters_.resize(n_clusters);
         for (auto& pc : clusters_) {
             pc.entries.clear();
+            pc.next_seq = 0;
             pc.by_cores.assign(static_cast<std::size_t>(max_cores) + 1, 0);
             pc.min_cores = max_cores + 1;
+            clear_index(pc);
         }
+    }
+
+    /// Sizes the per-user index (user ids below `n_users`, none running);
+    /// call after `reset`.
+    void reset_users(std::size_t n_users) {
+        for (auto& pc : clusters_) pc.users.assign(n_users, User{});
     }
 
     void push(std::size_t c, std::uint32_t j, int cores, std::uint32_t user) {
         PerCluster& pc = clusters_[c];
-        pc.entries.push_back(Entry{j, cores, user});
+        pc.entries.push_back(Entry{j, pc.next_seq++, kNil});
         const int b = bucket(cores);
         ++pc.by_cores[b];
         pc.min_cores = std::min(pc.min_cores, b);
+        if (pc.windowed < kBackfillDepth) {
+            index_entry(pc, pc.entries.back(), user, cores);
+            ++pc.windowed;
+        }
     }
 
     [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
         return clusters_[c].entries.size();
     }
 
+    /// `user` started a job on cluster c: their window entries leave the
+    /// tree until they finish.
+    void note_start(std::size_t c, std::uint32_t user) {
+        PerCluster& pc = clusters_[c];
+        User& u = pc.users[user];
+        u.running = true;
+        if (u.head != kNil) set_leaf(pc, u.head, kNone);
+    }
+
+    /// `user` finished their job on cluster c: their first window entry, if
+    /// any, is a candidate again.
+    void note_finish(std::size_t c, std::uint32_t user) {
+        PerCluster& pc = clusters_[c];
+        User& u = pc.users[user];
+        u.running = false;
+        if (u.head != kNil) set_leaf(pc, u.head, pc.nodes[u.head].seq);
+    }
+
     template <typename TryStart>
     void drain(std::size_t c, const ClusterState& cs, TryStart&& try_start) {
         PerCluster& pc = clusters_[c];
-        // Early exit: the smallest queued demand is a lower bound for every
-        // entry, so nothing can start when it exceeds the free cores. Only
-        // a successful start changes either side, so the bound is
-        // re-checked after starts, not per scanned entry.
-        if (pc.entries.empty() || cs.free_cores < min_queued_cores(pc)) {
+        if (pc.tree[1] == kNone || cs.free_cores < min_queued_cores(pc)) {
             return;
         }
         auto& q = pc.entries;
-        std::size_t scanned = 0;
-        for (auto it = q.begin(); it != q.end() && scanned < kBackfillDepth;
-             ++scanned) {
-            if (try_start(it->job, it->cores, it->user)) {
-                --pc.by_cores[bucket(it->cores)];
-                it = q.erase(it);
-                if (q.empty() || cs.free_cores < min_queued_cores(pc)) {
-                    return;
-                }
-            } else {
+        auto it = std::lower_bound(
+            q.begin(), q.begin() + static_cast<std::ptrdiff_t>(pc.windowed),
+            pc.tree[1],
+            [](const Entry& e, std::uint32_t seq) { return e.seq < seq; });
+        // Window entries left to walk; the skipped prefix counts toward the
+        // window exactly as the linear walk's rejections do.
+        std::size_t left =
+            pc.windowed - static_cast<std::size_t>(it - q.begin());
+        std::size_t started = 0;
+        for (; left > 0; --left) {
+            const std::uint16_t slot = it->slot;
+            const int cores = pc.nodes[slot].cores;
+            if (!try_start(it->job, cores, pc.nodes[slot].user)) {
                 ++it;
+                continue;
+            }
+            --pc.by_cores[bucket(cores)];
+            unindex_started(pc, slot);
+            it = q.erase(it);
+            ++started;
+            if (pc.tree[1] == kNone || cs.free_cores < min_queued_cores(pc)) {
+                break;
             }
         }
+        pc.windowed -= started;
+        fill_window(pc);
     }
 
     template <typename Remove>
     void remove_if(std::size_t c, Remove&& remove) {
         PerCluster& pc = clusters_[c];
+        for (std::size_t i = 0; i < pc.windowed; ++i) {
+            User& u = pc.users[pc.nodes[pc.entries[i].slot].user];
+            u.head = kNil;
+            u.tail = kNil;
+        }
         // Single-pass compaction (std::remove_if applies the predicate
         // exactly once per entry, first to last, preserving the FIFO
         // side-effect order of the linear walk).
         const auto keep_end = std::remove_if(
             pc.entries.begin(), pc.entries.end(), [&](const Entry& e) {
-                if (!remove(e.job, e.cores)) return false;
-                --pc.by_cores[bucket(e.cores)];
+                const int cores = jobs_[e.job].cores;
+                if (!remove(e.job, cores)) return false;
+                --pc.by_cores[bucket(cores)];
                 return true;
             });
         pc.entries.erase(keep_end, pc.entries.end());
+        clear_index(pc);
+        fill_window(pc);
     }
 
 private:
+    static_assert((kBackfillDepth & (kBackfillDepth - 1)) == 0,
+                  "the min-tree over window slots needs a power-of-two size");
+    static constexpr std::uint16_t kNil = 0xFFFFu;  ///< no pool node
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;  ///< empty tree leaf
+
     struct Entry {
         std::uint32_t job;
-        int cores;
+        std::uint32_t seq;  ///< push order; increasing along the queue
+        std::uint16_t slot;  ///< pool node while in the window, else kNil
+    };
+
+    /// One window entry: what the walk reads, and its place in its user's
+    /// list.
+    struct Node {
+        std::uint32_t seq;
         std::uint32_t user;
+        int cores;
+        std::uint16_t prev;
+        std::uint16_t next;
+    };
+
+    /// A user's window entries (a list of pool nodes, FIFO) and whether the
+    /// user is running here, as `note_start` / `note_finish` report it.
+    struct User {
+        std::uint16_t head = kNil;
+        std::uint16_t tail = kNil;
+        bool running = false;
     };
 
     struct PerCluster {
-        std::deque<Entry> entries;  ///< FIFO, scanned contiguously
+        std::deque<Entry> entries;  ///< FIFO
+        std::uint32_t next_seq = 0;
+        /// Leading entries held in the index; between calls always
+        /// min(kBackfillDepth, entries.size()).
+        std::size_t windowed = 0;
+        std::vector<User> users;
+        std::array<Node, kBackfillDepth> nodes{};
+        std::uint16_t free_node = kNil;  ///< free list through Node::next
+        /// Min-tree over pool slots: leaf s (tree[kBackfillDepth + s]) is
+        /// node s's seq when it heads a not-running user's list, else kNone;
+        /// tree[1] is the earliest candidate.
+        std::array<std::uint32_t, 2 * kBackfillDepth> tree{};
         std::vector<std::uint32_t> by_cores;  ///< queued count per core demand
         int min_cores = 0;  ///< lazily-advanced lower bound of the smallest
     };
+
+    /// Empties the window index; user lists must already be empty.
+    static void clear_index(PerCluster& pc) {
+        pc.windowed = 0;
+        pc.tree.fill(kNone);
+        for (std::size_t s = 0; s < kBackfillDepth; ++s) {
+            pc.nodes[s].next = static_cast<std::uint16_t>(s + 1);
+        }
+        pc.nodes[kBackfillDepth - 1].next = kNil;
+        pc.free_node = 0;
+    }
+
+    static void set_leaf(PerCluster& pc, std::uint16_t slot,
+                         std::uint32_t seq) {
+        std::size_t i = kBackfillDepth + slot;
+        pc.tree[i] = seq;
+        for (i /= 2; i > 0; i /= 2) {
+            pc.tree[i] = std::min(pc.tree[2 * i], pc.tree[2 * i + 1]);
+        }
+    }
+
+    static void index_entry(PerCluster& pc, Entry& e, std::uint32_t user,
+                            int cores) {
+        const std::uint16_t s = pc.free_node;
+        pc.free_node = pc.nodes[s].next;
+        User& u = pc.users[user];
+        pc.nodes[s] = Node{e.seq, user, cores, u.tail, kNil};
+        e.slot = s;
+        if (u.head == kNil) {
+            u.head = s;
+            if (!u.running) set_leaf(pc, s, e.seq);
+        } else {
+            pc.nodes[u.tail].next = s;
+        }
+        u.tail = s;
+    }
+
+    /// Unlinks a just-started entry's node from its user's list and frees
+    /// it. The user is running (`note_start` already cleared their leaf),
+    /// so no new head becomes a candidate.
+    static void unindex_started(PerCluster& pc, std::uint16_t s) {
+        const Node& n = pc.nodes[s];
+        User& u = pc.users[n.user];
+        if (n.prev == kNil) {
+            u.head = n.next;
+        } else {
+            pc.nodes[n.prev].next = n.next;
+        }
+        if (n.next == kNil) {
+            u.tail = n.prev;
+        } else {
+            pc.nodes[n.next].prev = n.prev;
+        }
+        pc.nodes[s].next = pc.free_node;
+        pc.free_node = s;
+    }
+
+    /// Indexes the entries that slid into the window.
+    void fill_window(PerCluster& pc) {
+        const std::size_t target =
+            std::min(kBackfillDepth, pc.entries.size());
+        for (; pc.windowed < target; ++pc.windowed) {
+            Entry& e = pc.entries[pc.windowed];
+            index_entry(pc, e, jobs_[e.job].user, jobs_[e.job].cores);
+        }
+    }
 
     [[nodiscard]] int bucket(int cores) const noexcept {
         return std::clamp(cores, 0, max_cores_);
@@ -372,8 +535,18 @@ private:
         return pc.min_cores;
     }
 
+    const ga::workload::TraceJob* jobs_ = nullptr;
     int max_cores_ = 1;
     std::vector<PerCluster> clusters_;
+};
+
+/// Whether a queue policy indexes users, and so must hear of every start
+/// and finish (`IndexedQueues`; the linear reference reads nothing back).
+template <typename Queues>
+concept UserIndexed = requires(Queues& q, std::size_t c, std::uint32_t u) {
+    q.note_start(c, u);
+    q.note_finish(c, u);
+    q.reset_users(c);
 };
 
 /// All mutable state of one simulation run, pooled per thread: `run` is
@@ -511,6 +684,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     rs.charged.assign(jobs.size(), 0.0);
     rs.user_running.assign(n_clusters * n_users_, 0);
     rs.queues.reset(n_clusters, jobs.size(), jobs.data(), max_job_cores_);
+    if constexpr (UserIndexed<Queues>) rs.queues.reset_users(n_users_);
     rs.events.clear();
     rs.events.reserve(jobs.size() + 2);
     rs.budget_remaining = options.budget > 0.0
@@ -590,6 +764,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         ClusterState& cs = rs.cluster[c];
         cs.free_cores -= jobs[j].cores;
         rs.user_running[c * n_users_ + jobs[j].user] = 1;
+        if constexpr (UserIndexed<Queues>) {
+            rs.queues.note_start(c, jobs[j].user);
+        }
         cs.sum_cores_end += static_cast<double>(jobs[j].cores) * (now + runtime);
         cs.running_cores += static_cast<double>(jobs[j].cores);
         rs.start_time[j] = now;
@@ -633,6 +810,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             ClusterState& cs = rs.cluster[c];
             cs.free_cores += jobs[j].cores;
             rs.user_running[c * n_users_ + jobs[j].user] = 0;
+            if constexpr (UserIndexed<Queues>) {
+                rs.queues.note_finish(c, jobs[j].user);
+            }
             cs.sum_cores_end -= static_cast<double>(jobs[j].cores) * now;
             // `now` equals start + runtime, so subtracting cores*now removes
             // exactly the cores*end contribution.

@@ -130,8 +130,9 @@ struct SimResult {
 };
 
 /// The simulator. Construct once per workload; `run` is const, keeps every
-/// piece of per-run mutable state in a stack-local `RunState`, and can be
-/// called concurrently from many threads over the same instance — the
+/// piece of per-run mutable state in a `RunState` pooled per thread (reset
+/// at the start of each run, its allocations reused), and can be called
+/// concurrently from many threads over the same instance — the
 /// scenario-sweep engine (`sim/sweep.hpp`) relies on this.
 class BatchSimulator {
 public:

@@ -3,8 +3,10 @@
 // The indexed queue (`run`) must make exactly the decisions the linear
 // executor (`run_reference`) makes, on adversarial queue shapes chosen to
 // break tie-handling shortcuts: simultaneous events, exact-capacity fits,
-// eligible jobs straddling the kBackfillDepth window, and an outage landing
-// between a finish and a submit at the same timestamp. Where a scalar pins
+// eligible jobs straddling the kBackfillDepth window, a freed user whose
+// first window entry is too wide or sits deep in the window, an outage
+// landing between a finish and a submit at the same timestamp, and an
+// outage that slides a queued entry into the window. Where a scalar pins
 // the semantics, it is pinned as a hexfloat literal — any change to event
 // ordering, queue traversal, or float-op sequencing trips an exact mismatch,
 // not a tolerance.
@@ -204,6 +206,100 @@ TEST(BitIdentity, OutageMidQueueRefundsStrandedJobsExactly) {
     // from c0 by accumulation rounding.
     EXPECT_NEAR(r.total_cost, solo_r.total_cost,
                 1e-12 * std::abs(solo_r.total_cost));
+}
+
+TEST(BitIdentity, FreedUsersLaterEntryStartsPastTheirTooWideFirst) {
+    // J0 (user 0, 30 cores) and J1 (user 1, 10 cores) run from t=0, leaving
+    // 8 cores free. Queued behind them: J2 (user 1, 20 cores), J3 (user 2,
+    // 10 cores), J4 (user 1, 5 cores). When J1 finishes, 18 cores are free
+    // and user 1 is free again: J2, user 1's first entry, is too wide, J3
+    // (another free user's) starts, and then J4, user 1's later entry, fits
+    // the 8 cores left. A drain that gives up on a user at their first
+    // entry would leave J4 queued.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 30, 0.0, 100'000.0));
+    jobs.push_back(make_job(1, 1, 0, 10, 0.0, 1000.0));
+    jobs.push_back(make_job(2, 1, 1, 20, 10.0, 100.0));
+    jobs.push_back(make_job(3, 2, 0, 10, 20.0, 100.0));
+    jobs.push_back(make_job(4, 1, 2, 5, 30.0, 100.0));
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, 5u);
+
+    const auto& w = sim.workload();
+    const std::size_t ic = w.predictor->machine_index("IC");
+    const auto runtime = [&](std::size_t j) {
+        return w.extrapolate(w.jobs[j])[ic].runtime_s;
+    };
+    const double freed_at = runtime(1);
+    EXPECT_TRUE(contains_time(r.finish_times_s, freed_at + runtime(3)));
+    EXPECT_TRUE(contains_time(r.finish_times_s, freed_at + runtime(4)))
+        << "the freed user's later, fitting window entry must start";
+}
+
+TEST(BitIdentity, FreedUserDeepInTheWindowStartsAtTheirFinish) {
+    // User 0 runs a long one-core job and queues 200 more behind it; user 1
+    // runs a short job and queues one entry at window position 200. When
+    // user 1's job finishes, that entry is the window's only candidate:
+    // the drain must reach it past 200 running-user entries and start it
+    // at that finish, not wait for user 0.
+    const std::size_t kBlocked = 200;
+    std::vector<wl::TraceJob> jobs;
+    std::uint32_t id = 0;
+    jobs.push_back(make_job(id++, 0, 0, 1, 0.0, 100'000.0));
+    jobs.push_back(make_job(id++, 1, 0, 1, 0.0, 1000.0));
+    for (std::size_t i = 0; i < kBlocked; ++i) {
+        jobs.push_back(make_job(id++, 0, 1, 1, 1.0, 100.0));
+    }
+    const std::uint32_t deep = id;
+    jobs.push_back(make_job(id++, 1, 1, 1, 2.0, 100.0));
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, kBlocked + 3);
+
+    const auto& w = sim.workload();
+    const std::size_t ic = w.predictor->machine_index("IC");
+    const double freed_at = w.extrapolate(w.jobs[1])[ic].runtime_s;
+    const double deep_runtime = w.extrapolate(w.jobs[deep])[ic].runtime_s;
+    EXPECT_TRUE(contains_time(r.finish_times_s, freed_at + deep_runtime));
+}
+
+TEST(BitIdentity, OutageSlidesAnEntryIntoTheWindowAndTheNextDrainStartsIt) {
+    // Two IC nodes (96 cores). User 1 runs a long one-core job and queues
+    // 256 sixty-core jobs behind it, filling the backfill window; user 2's
+    // one-core job lands at position 256, just outside, and waits. The
+    // outage takes one node: every window entry is now wider than the
+    // 48-core cluster and is refunded, so user 2's entry slides to the
+    // front. User 3's submit at t=4 drains the queue, which must start user
+    // 2's job there and then user 3's.
+    const std::size_t kWide = 256;  // kBackfillDepth: the whole window
+    std::vector<wl::TraceJob> jobs;
+    std::uint32_t id = 0;
+    jobs.push_back(make_job(id++, 1, 0, 1, 0.0, 100'000.0));
+    for (std::size_t i = 0; i < kWide; ++i) {
+        jobs.push_back(make_job(id++, 1, 1, 60, 1.0, 100.0));
+    }
+    const std::uint32_t slid = id;
+    jobs.push_back(make_job(id++, 2, 0, 1, 2.0, 100.0));
+    const std::uint32_t late = id;
+    jobs.push_back(make_job(id++, 3, 0, 1, 4.0, 100.0));
+    const sm::BatchSimulator sim(
+        craft_workload(std::move(jobs)),
+        {sm::ClusterConfig{mc::find("IC"), 2}});
+
+    sm::SimOptions options;
+    options.outage = sm::ClusterOutage{0, 3.0, 1};
+    const auto r = run_both(sim, options);
+    EXPECT_EQ(r.jobs_skipped, kWide);
+    EXPECT_EQ(r.jobs_completed, 3u);
+
+    const auto& w = sim.workload();
+    const std::size_t ic = w.predictor->machine_index("IC");
+    for (const std::uint32_t j : {slid, late}) {
+        EXPECT_TRUE(contains_time(
+            r.finish_times_s, 4.0 + w.extrapolate(w.jobs[j])[ic].runtime_s))
+            << "job " << j << " must start at the first drain after the outage";
+    }
 }
 
 TEST(BitIdentity, GeneratedTraceScalarsPinnedHexfloat) {
