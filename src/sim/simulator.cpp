@@ -76,11 +76,17 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
     GA_REQUIRE(!clusters_.empty(), "simulator: need at least one cluster");
     GA_REQUIRE(workload_.predictor != nullptr, "simulator: workload lacks predictor");
     // The event loop indexes per-job state by job id, so ids must be dense
-    // and positional (generate_trace guarantees this; hand-crafted workloads
-    // must too).
+    // and positional, and it reads submits as a stream in id order, so
+    // submit times must be non-decreasing in that order (generate_trace
+    // guarantees both; hand-crafted workloads must too).
     for (std::size_t i = 0; i < workload_.jobs.size(); ++i) {
         GA_REQUIRE(workload_.jobs[i].id == i,
                    "simulator: job ids must equal their position");
+        GA_REQUIRE(i == 0 || workload_.jobs[i].submit_s >=
+                                 workload_.jobs[i - 1].submit_s,
+                   "simulator: job " + std::to_string(i) +
+                       " submits before job " + std::to_string(i - 1) +
+                       "; submit times must not decrease in id order");
     }
 
     // Resolve "one node per user" clusters (personal desktops). Note the
@@ -155,6 +161,11 @@ namespace {
 /// resources first, outages shrink capacity next, submits route last.
 enum class EventType { Finish, Outage, Submit };
 
+/// One event, totally ordered by (time, type, job). Finishes and the
+/// outage wait in the run's heap; submits are never stored there: the loop
+/// reads them as a stream over the trace in id order, which is already
+/// their (time, job) order, and builds each one only to compare it with
+/// the heap's top.
 struct Event {
     double time = 0.0;
     EventType type = EventType::Submit;
@@ -282,8 +293,13 @@ private:
 ///   * a per-cluster bucket count of queued core demands with a cached
 ///     minimum lets a drain exit in O(1) whenever the smallest queued demand
 ///     exceeds the free cores (the common state of a saturated cluster);
-///   * the outage walk compacts in one O(queue) pass, then rebuilds the
-///     window index.
+///   * the window lives in a fixed kBackfillDepth-entry array and the rest
+///     of the queue in a deque that only grows at the back and shrinks at
+///     the front. A start closes its gap with one contiguous move of at
+///     most kBackfillDepth - 1 entries; the window refills from the tail
+///     at drain end;
+///   * the outage walk compacts in one O(queue) pass (window, then tail),
+///     then rebuilds the window index.
 ///
 /// Both early exits are unobservable: within one drain, free cores only
 /// shrink and users only start running, so an entry that cannot start now
@@ -304,7 +320,8 @@ public:
         max_cores_ = max_cores;
         if (clusters_.size() != n_clusters) clusters_.resize(n_clusters);
         for (auto& pc : clusters_) {
-            pc.entries.clear();
+            pc.size = 0;
+            pc.tail.clear();
             pc.next_seq = 0;
             pc.by_cores.assign(static_cast<std::size_t>(max_cores) + 1, 0);
             pc.min_cores = max_cores + 1;
@@ -320,18 +337,21 @@ public:
 
     void push(std::size_t c, std::uint32_t j, int cores, std::uint32_t user) {
         PerCluster& pc = clusters_[c];
-        pc.entries.push_back(Entry{j, pc.next_seq++, kNil});
+        const Entry e{j, pc.next_seq++, kNil};
         const int b = bucket(cores);
         ++pc.by_cores[b];
         pc.min_cores = std::min(pc.min_cores, b);
-        if (pc.windowed < kBackfillDepth) {
-            index_entry(pc, pc.entries.back(), user, cores);
-            ++pc.windowed;
+        if (pc.size < kBackfillDepth) {
+            pc.window[pc.size] = e;
+            index_entry(pc, pc.window[pc.size], user, cores);
+            ++pc.size;
+        } else {
+            pc.tail.push_back(e);
         }
     }
 
     [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
-        return clusters_[c].entries.size();
+        return clusters_[c].size + clusters_[c].tail.size();
     }
 
     /// `user` started a job on cluster c: their window entries leave the
@@ -358,17 +378,14 @@ public:
         if (pc.tree[1] == kNone || cs.free_cores < min_queued_cores(pc)) {
             return;
         }
-        auto& q = pc.entries;
-        auto it = std::lower_bound(
-            q.begin(), q.begin() + static_cast<std::ptrdiff_t>(pc.windowed),
-            pc.tree[1],
+        Entry* const w = pc.window.data();
+        Entry* it = std::lower_bound(
+            w, w + pc.size, pc.tree[1],
             [](const Entry& e, std::uint32_t seq) { return e.seq < seq; });
         // Window entries left to walk; the skipped prefix counts toward the
         // window exactly as the linear walk's rejections do.
-        std::size_t left =
-            pc.windowed - static_cast<std::size_t>(it - q.begin());
-        std::size_t started = 0;
-        for (; left > 0; --left) {
+        for (std::size_t left = pc.size - static_cast<std::size_t>(it - w);
+             left > 0; --left) {
             const std::uint16_t slot = it->slot;
             const int cores = pc.nodes[slot].cores;
             if (!try_start(it->job, cores, pc.nodes[slot].user)) {
@@ -377,36 +394,40 @@ public:
             }
             --pc.by_cores[bucket(cores)];
             unindex_started(pc, slot);
-            it = q.erase(it);
-            ++started;
+            std::copy(it + 1, w + pc.size, it);
+            --pc.size;
             if (pc.tree[1] == kNone || cs.free_cores < min_queued_cores(pc)) {
                 break;
             }
         }
-        pc.windowed -= started;
         fill_window(pc);
     }
 
     template <typename Remove>
     void remove_if(std::size_t c, Remove&& remove) {
         PerCluster& pc = clusters_[c];
-        for (std::size_t i = 0; i < pc.windowed; ++i) {
-            User& u = pc.users[pc.nodes[pc.entries[i].slot].user];
+        for (std::size_t i = 0; i < pc.size; ++i) {
+            User& u = pc.users[pc.nodes[pc.window[i].slot].user];
             u.head = kNil;
             u.tail = kNil;
         }
         // Single-pass compaction (std::remove_if applies the predicate
-        // exactly once per entry, first to last, preserving the FIFO
-        // side-effect order of the linear walk).
-        const auto keep_end = std::remove_if(
-            pc.entries.begin(), pc.entries.end(), [&](const Entry& e) {
-                const int cores = jobs_[e.job].cores;
-                if (!remove(e.job, cores)) return false;
-                --pc.by_cores[bucket(cores)];
-                return true;
-            });
-        pc.entries.erase(keep_end, pc.entries.end());
+        // exactly once per entry, first to last, and the window precedes
+        // the tail, preserving the FIFO side-effect order of the linear
+        // walk).
+        const auto drop = [&](const Entry& e) {
+            const int cores = jobs_[e.job].cores;
+            if (!remove(e.job, cores)) return false;
+            --pc.by_cores[bucket(cores)];
+            return true;
+        };
+        Entry* const w = pc.window.data();
+        pc.size = static_cast<std::size_t>(
+            std::remove_if(w, w + pc.size, drop) - w);
+        pc.tail.erase(std::remove_if(pc.tail.begin(), pc.tail.end(), drop),
+                      pc.tail.end());
         clear_index(pc);
+        for (std::size_t i = 0; i < pc.size; ++i) index_window_entry(pc, w[i]);
         fill_window(pc);
     }
 
@@ -419,7 +440,7 @@ private:
     struct Entry {
         std::uint32_t job;
         std::uint32_t seq;  ///< push order; increasing along the queue
-        std::uint16_t slot;  ///< pool node while in the window, else kNil
+        std::uint16_t slot;  ///< pool node while indexed, else kNil
     };
 
     /// One window entry: what the walk reads, and its place in its user's
@@ -441,11 +462,13 @@ private:
     };
 
     struct PerCluster {
-        std::deque<Entry> entries;  ///< FIFO
+        /// The queue in FIFO order: window[0, size), then tail. Between
+        /// calls every window entry is indexed and the tail is empty unless
+        /// the window is full.
+        std::array<Entry, kBackfillDepth> window{};
+        std::size_t size = 0;
+        std::deque<Entry> tail;
         std::uint32_t next_seq = 0;
-        /// Leading entries held in the index; between calls always
-        /// min(kBackfillDepth, entries.size()).
-        std::size_t windowed = 0;
         std::vector<User> users;
         std::array<Node, kBackfillDepth> nodes{};
         std::uint16_t free_node = kNil;  ///< free list through Node::next
@@ -459,7 +482,6 @@ private:
 
     /// Empties the window index; user lists must already be empty.
     static void clear_index(PerCluster& pc) {
-        pc.windowed = 0;
         pc.tree.fill(kNone);
         for (std::size_t s = 0; s < kBackfillDepth; ++s) {
             pc.nodes[s].next = static_cast<std::uint16_t>(s + 1);
@@ -513,13 +535,16 @@ private:
         pc.free_node = s;
     }
 
-    /// Indexes the entries that slid into the window.
-    void fill_window(PerCluster& pc) {
-        const std::size_t target =
-            std::min(kBackfillDepth, pc.entries.size());
-        for (; pc.windowed < target; ++pc.windowed) {
-            Entry& e = pc.entries[pc.windowed];
-            index_entry(pc, e, jobs_[e.job].user, jobs_[e.job].cores);
+    void index_window_entry(PerCluster& pc, Entry& e) const {
+        index_entry(pc, e, jobs_[e.job].user, jobs_[e.job].cores);
+    }
+
+    /// Slides tail entries into the window's free slots, indexing each.
+    void fill_window(PerCluster& pc) const {
+        for (; pc.size < kBackfillDepth && !pc.tail.empty(); ++pc.size) {
+            pc.window[pc.size] = pc.tail.front();
+            pc.tail.pop_front();
+            index_window_entry(pc, pc.window[pc.size]);
         }
     }
 
@@ -570,9 +595,11 @@ struct RunState {
     // One flag per (cluster, user): the paper's one-running-job-per-user
     // rule, flat array instead of hash sets.
     std::vector<std::uint8_t> user_running;
-    // Binary min-heap via std::push_heap/pop_heap (same comparator, and the
-    // Event order is total, so pop order matches std::priority_queue) over a
-    // reusable, pre-sized vector.
+    // Pending finishes and the outage: a binary min-heap via
+    // std::push_heap/pop_heap (the Event order is total, so pop order
+    // matches std::priority_queue) over a reusable vector. Submits stream
+    // past it in id order, so it holds at most one entry per running job
+    // plus the outage.
     std::vector<Event> events;
     Queues queues;
     double budget_remaining = std::numeric_limits<double>::infinity();
@@ -686,7 +713,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     rs.queues.reset(n_clusters, jobs.size(), jobs.data(), max_job_cores_);
     if constexpr (UserIndexed<Queues>) rs.queues.reset_users(n_users_);
     rs.events.clear();
-    rs.events.reserve(jobs.size() + 2);
     rs.budget_remaining = options.budget > 0.0
                               ? options.budget
                               : std::numeric_limits<double>::infinity();
@@ -733,10 +759,14 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     ctx.jobs_total = jobs.size();
     ctx.clusters = views;
 
-    for (const auto& job : jobs) {
-        const double submit = job.submit_s / options.arrival_compression;
-        ctx.trace_span_s = std::max(ctx.trace_span_s, submit);
-        push_event(Event{submit, EventType::Submit, job.id, 0});
+    // Submit times are scaled per job as they stream in. Division by a
+    // positive factor is monotone, so the stream stays in (time, job) order.
+    const auto submit_time = [&](std::size_t j) {
+        return jobs[j].submit_s / options.arrival_compression;
+    };
+    if (!jobs.empty()) {
+        ctx.trace_span_s =
+            std::max(ctx.trace_span_s, submit_time(jobs.size() - 1));
     }
     if (options.outage.has_value()) {
         GA_REQUIRE(options.outage->cluster < n_clusters,
@@ -797,10 +827,27 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         if (tracing) tracer.span_end("sim.drain", now);
     };
 
-    while (!rs.events.empty()) {
-        std::pop_heap(rs.events.begin(), rs.events.end(), std::greater<>{});
-        const Event ev = rs.events.back();
-        rs.events.pop_back();
+    // Each step takes the earlier of the next submit and the heap's top
+    // under the Event order, so events run exactly as if every submit had
+    // been pushed onto the heap up front.
+    std::size_t next_submit = 0;
+    for (;;) {
+        const bool submits_left = next_submit < jobs.size();
+        Event ev;
+        if (submits_left) {
+            ev = Event{submit_time(next_submit), EventType::Submit,
+                       static_cast<std::uint32_t>(next_submit), 0};
+        }
+        if (submits_left && (rs.events.empty() || rs.events.front() > ev)) {
+            ++next_submit;
+        } else if (!rs.events.empty()) {
+            std::pop_heap(rs.events.begin(), rs.events.end(),
+                          std::greater<>{});
+            ev = rs.events.back();
+            rs.events.pop_back();
+        } else {
+            break;
+        }
         const double now = ev.time;
 
         if (ev.type == EventType::Finish) {

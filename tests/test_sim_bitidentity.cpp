@@ -10,13 +10,22 @@
 // the semantics, it is pinned as a hexfloat literal — any change to event
 // ordering, queue traversal, or float-op sequencing trips an exact mismatch,
 // not a tolerance.
+//
+// Both executors share one event loop (submits streamed past a heap of
+// finishes), so executor identity cannot catch a change to event order.
+// The event-order and window-storage tests below therefore pin every
+// job's start time, computed by hand, and compare the exact finish times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "machine/catalog.hpp"
 #include "sim/simulator.hpp"
 #include "sim_result_matchers.hpp"
+#include "util/error.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -65,6 +74,27 @@ bool contains_time(const std::vector<double>& times, double t) {
         if (std::abs(v - t) < 1e-6) return true;
     }
     return false;
+}
+
+/// Job j's predicted runtime on an IC cluster, the value the executor adds
+/// to a start time.
+double ic_runtime(const sm::BatchSimulator& sim, std::size_t j) {
+    const auto& w = sim.workload();
+    return w.extrapolate(w.jobs[j])[w.predictor->machine_index("IC")].runtime_s;
+}
+
+/// The sorted finish times of jobs started at the given (job, start) pairs
+/// on IC clusters: each ends at start + runtime, the same double addition
+/// the executor makes, so the result compares with `==`.
+std::vector<double> finishes_of(
+    const sm::BatchSimulator& sim,
+    const std::vector<std::pair<std::uint32_t, double>>& starts) {
+    std::vector<double> out;
+    for (const auto& [j, start] : starts) {
+        out.push_back(start + ic_runtime(sim, j));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 TEST(BitIdentity, SimultaneousSubmitsAndFinishesResolveByJobId) {
@@ -300,6 +330,197 @@ TEST(BitIdentity, OutageSlidesAnEntryIntoTheWindowAndTheNextDrainStartsIt) {
             r.finish_times_s, 4.0 + w.extrapolate(w.jobs[j])[ic].runtime_s))
             << "job " << j << " must start at the first drain after the outage";
     }
+}
+
+TEST(EventOrder, FinishAtASubmitsInstantRunsFirst) {
+    // Two one-node IC clusters A and B under LeastLoaded (fewest queued,
+    // then least backlog, then lowest index). J0 goes to A and J1 (long) to
+    // B, both starting at 0; J2 arrives at t=1 and queues on A. J3 arrives
+    // exactly when J0 finishes. The finish runs first: its drain starts J2
+    // on A, so J3 sees both queues empty and A's smaller backlog, queues on
+    // A and starts when J2 ends. Had the submit run first, it would have
+    // seen J2 still queued on A and gone to B behind J1.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 48, 0.0, 1000.0));
+    jobs.push_back(make_job(1, 1, 0, 48, 0.0, 100'000.0));
+    jobs.push_back(make_job(2, 2, 0, 48, 1.0, 1000.0));
+    const sm::BatchSimulator probe(craft_workload(jobs), one_ic());
+    const double f0 = 0.0 + ic_runtime(probe, 0);
+    jobs.push_back(make_job(3, 3, 0, 48, f0, 100.0));
+    const sm::BatchSimulator sim(
+        craft_workload(std::move(jobs)),
+        {sm::ClusterConfig{mc::find("IC"), 1},
+         sm::ClusterConfig{mc::find("IC"), 1}});
+
+    sm::SimOptions options;
+    options.policy = {"LeastLoaded", {}};
+    const auto r = run_both(sim, options);
+    EXPECT_EQ(r.jobs_completed, 4u);
+    const double f2 = f0 + ic_runtime(sim, 2);
+    EXPECT_EQ(r.finish_times_s,
+              finishes_of(sim, {{0, 0.0}, {1, 0.0}, {2, f0}, {3, f2}}));
+}
+
+TEST(EventOrder, OutageAtASubmitsInstantShrinksCapacityFirst) {
+    // Two IC nodes (96 cores). J0 (30 cores) runs from t=0. At t=5 one node
+    // is lost and J1 (60 cores) and J2 (1 core) arrive. The outage runs
+    // first, so J1 no longer fits the 48-core cluster and is skipped; J2
+    // starts at 5 on the 18 cores left. Had J1's submit run first, it
+    // would have started on the 66 free cores and completed.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 30, 0.0, 1000.0));
+    jobs.push_back(make_job(1, 1, 0, 60, 5.0, 100.0));
+    jobs.push_back(make_job(2, 2, 0, 1, 5.0, 100.0));
+    const sm::BatchSimulator sim(
+        craft_workload(std::move(jobs)),
+        {sm::ClusterConfig{mc::find("IC"), 2}});
+
+    sm::SimOptions options;
+    options.outage = sm::ClusterOutage{0, 5.0, 1};
+    const auto r = run_both(sim, options);
+    EXPECT_EQ(r.jobs_completed, 2u);
+    EXPECT_EQ(r.jobs_skipped, 1u);
+    EXPECT_EQ(r.finish_times_s, finishes_of(sim, {{0, 0.0}, {2, 5.0}}));
+}
+
+TEST(EventOrder, CompressionCollapsedSubmitsRunInIdOrder) {
+    // J0 and J1 submit at 100 and the next double above it; divided by an
+    // arrival compression of 3 both land on the same instant T. The tie
+    // goes by id: J0 takes the whole cluster at T and J1 follows when it
+    // ends (the other order would finish at T + r1 and T + r1 + r0).
+    const double a = 100.0;
+    const double b = std::nextafter(a, 200.0);
+    const double compression = 3.0;
+    ASSERT_LT(a, b);
+    ASSERT_EQ(a / compression, b / compression);
+    const double t = a / compression;
+
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 48, a, 1000.0));
+    jobs.push_back(make_job(1, 1, 0, 48, b, 3000.0));
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+
+    sm::SimOptions options;
+    options.arrival_compression = compression;
+    const auto r = run_both(sim, options);
+    EXPECT_EQ(r.jobs_completed, 2u);
+    const double f0 = t + ic_runtime(sim, 0);
+    EXPECT_EQ(r.finish_times_s, finishes_of(sim, {{0, t}, {1, f0}}));
+}
+
+TEST(EventOrder, ConstructorRejectsASubmitTimeThatFallsInIdOrder) {
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 1, 0.0, 100.0));
+    jobs.push_back(make_job(1, 1, 0, 1, 10.0, 100.0));
+    jobs.push_back(make_job(2, 2, 0, 1, 5.0, 100.0));
+    try {
+        const sm::BatchSimulator sim(craft_workload(std::move(jobs)),
+                                     one_ic());
+        FAIL() << "a trace whose submit times fall in id order must be "
+                  "rejected";
+    } catch (const ga::util::PreconditionError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("job 2 submits before job 1"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(WindowStorage, StartsAtWindowPositions0And127And255RefillFromTheTail) {
+    // One IC node. User 0 runs a very long job and queues one-core fillers
+    // behind it; users 1, 2 and 3 run jobs ending at F1 < F2 < F3 and queue
+    // one entry each, at queue positions 0, 128 and 257 (257 is in the
+    // tail). At F1 user 1's entry starts from window position 0 and the
+    // tail's head slides in. At F2 user 2's entry has moved to position
+    // 127 and starts, and user 3's entry slides in from the tail to
+    // position 255, where it starts at F3. The fillers then run one at a
+    // time after user 0's long job, in queue order.
+    const std::size_t kDepth = 300;
+    std::vector<wl::TraceJob> jobs;
+    std::uint32_t id = 0;
+    jobs.push_back(make_job(id++, 0, 0, 1, 0.0, 100'000.0));
+    jobs.push_back(make_job(id++, 1, 0, 1, 0.0, 1000.0));
+    jobs.push_back(make_job(id++, 2, 0, 1, 0.0, 2000.0));
+    jobs.push_back(make_job(id++, 3, 0, 1, 0.0, 3000.0));
+    std::vector<std::uint32_t> fillers;
+    std::vector<std::uint32_t> waiting(4);  // user u's queued entry
+    for (std::size_t pos = 0; pos < kDepth; ++pos) {
+        std::uint32_t user = 0;
+        if (pos == 0) user = 1;
+        if (pos == 128) user = 2;
+        if (pos == 257) user = 3;
+        if (user == 0) {
+            fillers.push_back(id);
+        } else {
+            waiting[user] = id;
+        }
+        jobs.push_back(make_job(id++, user, 1, 1, 1.0, 100.0));
+    }
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    ASSERT_EQ(r.jobs_completed, kDepth + 4);
+
+    std::vector<std::pair<std::uint32_t, double>> starts;
+    for (std::uint32_t u = 0; u < 4; ++u) starts.emplace_back(u, 0.0);
+    for (std::uint32_t u = 1; u < 4; ++u) {
+        starts.emplace_back(waiting[u], 0.0 + ic_runtime(sim, u));
+    }
+    double t = 0.0 + ic_runtime(sim, 0);
+    for (const std::uint32_t j : fillers) {
+        starts.emplace_back(j, t);
+        t += ic_runtime(sim, j);
+    }
+    EXPECT_EQ(r.finish_times_s, finishes_of(sim, starts));
+}
+
+TEST(WindowStorage, OutageCompactionAcrossTheWindowTailBoundary) {
+    // Two IC nodes (96 cores), a budgeted run so every removal refunds.
+    // User 0 runs a very long job and queues, in order: 200 one-core
+    // fillers (app 1), 100 sixty-core entries (positions 200-299: 56 in
+    // the window, 44 in the tail), 10 one-core fillers with another app
+    // (tail), and user 5's one-core entry at position 310 (tail), which
+    // waits outside the window although it fits. The outage at t=3 takes
+    // one node: the 100 wide entries are removed from both window and
+    // tail, and the window refills up to user 5's entry, which starts at
+    // the next drain (user 6's submit at t=4), as does user 6's. The kept
+    // fillers then run after user 0's long job in their old order.
+    std::vector<wl::TraceJob> jobs;
+    std::uint32_t id = 0;
+    jobs.push_back(make_job(id++, 0, 0, 1, 0.0, 100'000.0));
+    std::vector<std::uint32_t> fillers;
+    for (std::size_t i = 0; i < 200; ++i) {
+        fillers.push_back(id);
+        jobs.push_back(make_job(id++, 0, 1, 1, 1.0, 100.0));
+    }
+    for (std::size_t i = 0; i < 100; ++i) {
+        jobs.push_back(make_job(id++, 0, 2, 60, 1.0, 100.0));
+    }
+    for (std::size_t i = 0; i < 10; ++i) {
+        fillers.push_back(id);
+        jobs.push_back(make_job(id++, 0, 3, 1, 1.0, 300.0));
+    }
+    const std::uint32_t slid = id;
+    jobs.push_back(make_job(id++, 5, 0, 1, 2.0, 100.0));
+    const std::uint32_t late = id;
+    jobs.push_back(make_job(id++, 6, 0, 1, 4.0, 100.0));
+    const sm::BatchSimulator sim(
+        craft_workload(std::move(jobs)),
+        {sm::ClusterConfig{mc::find("IC"), 2}});
+
+    sm::SimOptions options;
+    options.budget = 1e12;
+    options.outage = sm::ClusterOutage{0, 3.0, 1};
+    const auto r = run_both(sim, options);
+    EXPECT_EQ(r.jobs_skipped, 100u);
+    ASSERT_EQ(r.jobs_completed, fillers.size() + 3);
+
+    std::vector<std::pair<std::uint32_t, double>> starts = {
+        {0, 0.0}, {slid, 4.0}, {late, 4.0}};
+    double t = 0.0 + ic_runtime(sim, 0);
+    for (const std::uint32_t j : fillers) {
+        starts.emplace_back(j, t);
+        t += ic_runtime(sim, j);
+    }
+    EXPECT_EQ(r.finish_times_s, finishes_of(sim, starts));
 }
 
 TEST(BitIdentity, GeneratedTraceScalarsPinnedHexfloat) {
