@@ -10,7 +10,8 @@ namespace ga::acct {
 
 namespace {
 
-void validate(const JobUsage& usage, const ga::machine::CatalogEntry& m) {
+/// `gpu_count` is the machine's, the only field the checks read.
+void validate(const JobUsage& usage, int gpu_count) {
     GA_REQUIRE(usage.duration_s >= 0.0, "accounting: negative duration");
     GA_REQUIRE(usage.energy_j >= 0.0, "accounting: negative energy");
     GA_REQUIRE(usage.cores >= 0, "accounting: negative core count");
@@ -18,12 +19,148 @@ void validate(const JobUsage& usage, const ga::machine::CatalogEntry& m) {
     GA_REQUIRE(usage.cores > 0 || usage.gpus > 0,
                "accounting: job must hold cores or gpus");
     if (usage.gpus > 0) {
-        GA_REQUIRE(usage.gpus <= m.node.gpu_count,
+        GA_REQUIRE(usage.gpus <= gpu_count,
                    "accounting: job gpus exceed machine gpus");
     }
     // Note: usage.cores may exceed one node's core count — cluster jobs span
     // multiple nodes of the same machine type; per-core rates still apply.
 }
+
+void validate(const JobUsage& usage, const ga::machine::CatalogEntry& m) {
+    validate(usage, m.node.gpu_count);
+}
+
+// The method formulas, shared by the entry and the bound forms so both
+// evaluate one expression in one order.
+
+/// Runtime: GPU-hours for GPU jobs, core-hours otherwise.
+double runtime_hours(const JobUsage& usage) {
+    const double units = usage.gpus > 0 ? static_cast<double>(usage.gpus)
+                                        : static_cast<double>(usage.cores);
+    return ga::util::core_hours(units, usage.duration_s);
+}
+
+/// Eq. 1, for a provisioned share drawing `tdp_w` at full load; `pue` is 1
+/// unless the PUE switch is on.
+double eba_charge(const JobUsage& usage, double pue, double tdp_w, double beta) {
+    const double potential_j = usage.duration_s * tdp_w;  // d_j * TDP_R
+    return (pue * usage.energy_j + beta * potential_j) / 2.0;
+}
+
+/// Eq. 2's embodied term at `rate` gCO2e/h: the GPU-job rate for a GPU
+/// job, the per-core rate otherwise.
+double embodied_at(const JobUsage& usage, double rate) {
+    const double hours = ga::util::seconds_to_hours(usage.duration_s);
+    if (usage.gpus > 0) return hours * rate;
+    return hours * static_cast<double>(usage.cores) * rate;
+}
+
+/// The default bound form: the accountant's own entry-form charge.
+class ForwardingBound final : public BoundAccountant {
+public:
+    ForwardingBound(const Accountant& accountant,
+                    std::span<const ga::machine::CatalogEntry> entries)
+        : accountant_(accountant), entries_(entries.begin(), entries.end()) {}
+
+    double charge(const JobUsage& usage, std::size_t cluster) const override {
+        return accountant_.charge(usage, entries_[cluster]);
+    }
+
+private:
+    const Accountant& accountant_;
+    std::vector<ga::machine::CatalogEntry> entries_;
+};
+
+/// Runtime bound: validation needs only each machine's GPU count.
+class BoundRuntime final : public BoundAccountant {
+public:
+    explicit BoundRuntime(std::span<const ga::machine::CatalogEntry> entries) {
+        gpu_count_.reserve(entries.size());
+        for (const auto& m : entries) gpu_count_.push_back(m.node.gpu_count);
+    }
+
+    double charge(const JobUsage& usage, std::size_t cluster) const override {
+        validate(usage, gpu_count_[cluster]);
+        return runtime_hours(usage);
+    }
+
+private:
+    std::vector<int> gpu_count_;
+};
+
+class BoundEnergyBased final : public BoundAccountant {
+public:
+    BoundEnergyBased(double beta, bool apply_pue,
+                     std::span<const ga::machine::CatalogEntry> entries)
+        : beta_(beta) {
+        clusters_.reserve(entries.size());
+        for (const auto& m : entries) {
+            clusters_.push_back(Cluster{apply_pue ? m.pue : 1.0,
+                                        m.node.tdp_per_core_w(),
+                                        m.node.gpu.tdp_w, m.node.gpu_count});
+        }
+    }
+
+    double charge(const JobUsage& usage, std::size_t cluster) const override {
+        const Cluster& k = clusters_[cluster];
+        validate(usage, k.gpu_count);
+        const double tdp_w =
+            usage.gpus > 0 ? static_cast<double>(usage.gpus) * k.gpu_tdp_w
+                           : static_cast<double>(usage.cores) * k.tdp_per_core_w;
+        return eba_charge(usage, k.pue, tdp_w, beta_);
+    }
+
+private:
+    struct Cluster {
+        double pue;  ///< 1 unless the PUE switch is on
+        double tdp_per_core_w;
+        double gpu_tdp_w;
+        int gpu_count;
+    };
+    double beta_;
+    std::vector<Cluster> clusters_;
+};
+
+/// Blended bound: its weighted sum over the bound Runtime and CBA forms.
+class BoundBlended final : public BoundAccountant {
+public:
+    BoundBlended(double core_weight, double carbon_weight,
+                 BoundCarbonAccounting carbon,
+                 std::span<const ga::machine::CatalogEntry> entries)
+        : core_weight_(core_weight),
+          carbon_weight_(carbon_weight),
+          runtime_(entries),
+          carbon_(std::move(carbon)) {}
+
+    double charge(const JobUsage& usage, std::size_t cluster) const override {
+        return core_weight_ * runtime_.charge(usage, cluster) +
+               carbon_weight_ * carbon_.charge(usage, cluster);
+    }
+
+private:
+    double core_weight_;
+    double carbon_weight_;
+    BoundRuntime runtime_;
+    BoundCarbonAccounting carbon_;
+};
+
+/// CarbonTax bound: core-hours plus the taxed grams, over the bound forms.
+class BoundCarbonTax final : public BoundAccountant {
+public:
+    BoundCarbonTax(double tax_per_g, BoundCarbonAccounting carbon,
+                   std::span<const ga::machine::CatalogEntry> entries)
+        : tax_per_g_(tax_per_g), runtime_(entries), carbon_(std::move(carbon)) {}
+
+    double charge(const JobUsage& usage, std::size_t cluster) const override {
+        return runtime_.charge(usage, cluster) +
+               tax_per_g_ * carbon_.charge(usage, cluster);
+    }
+
+private:
+    double tax_per_g_;
+    BoundRuntime runtime_;
+    BoundCarbonAccounting carbon_;
+};
 
 /// Shared "depreciation" registry param: 0 = double-declining (the paper's
 /// choice), 1 = linear.
@@ -73,6 +210,13 @@ void register_builtins(AccountantRegistry& r) {
 }
 
 }  // namespace
+
+// ------------------------------------------------------------ Accountant
+
+std::unique_ptr<const BoundAccountant> Accountant::bind(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    return std::make_unique<ForwardingBound>(*this, entries);
+}
 
 // --------------------------------------------------------- AccountantSpec
 
@@ -158,9 +302,12 @@ const std::vector<AccountantSpec>& beyond_paper_accountants() {
 double RuntimeAccounting::charge(const JobUsage& usage,
                                  const ga::machine::CatalogEntry& m) const {
     validate(usage, m);
-    const double units = usage.gpus > 0 ? static_cast<double>(usage.gpus)
-                                        : static_cast<double>(usage.cores);
-    return ga::util::core_hours(units, usage.duration_s);
+    return runtime_hours(usage);
+}
+
+std::unique_ptr<const BoundAccountant> RuntimeAccounting::bind(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    return std::make_unique<BoundRuntime>(entries);
 }
 
 double EnergyAccounting::charge(const JobUsage& usage,
@@ -199,26 +346,59 @@ double EnergyBasedAccounting::provisioned_tdp_w(const JobUsage& usage,
 double EnergyBasedAccounting::charge(const JobUsage& usage,
                                      const ga::machine::CatalogEntry& m) const {
     validate(usage, m);
-    const double pue = apply_pue_ ? m.pue : 1.0;
-    const double potential_j =
-        usage.duration_s * provisioned_tdp_w(usage, m);  // d_j * TDP_R
-    return (pue * usage.energy_j + beta_ * potential_j) / 2.0;
+    return eba_charge(usage, apply_pue_ ? m.pue : 1.0,
+                      provisioned_tdp_w(usage, m), beta_);
+}
+
+std::unique_ptr<const BoundAccountant> EnergyBasedAccounting::bind(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    return std::make_unique<BoundEnergyBased>(beta_, apply_pue_, entries);
 }
 
 CarbonBasedAccounting::CarbonBasedAccounting(
     std::map<std::string, ga::carbon::IntensityTrace> intensity,
     ga::carbon::DepreciationMethod depreciation)
-    : intensity_(std::move(intensity)), depreciation_(depreciation) {}
+    : intensity_(std::make_shared<
+                 const std::map<std::string, ga::carbon::IntensityTrace>>(
+          std::move(intensity))),
+      depreciation_(depreciation) {}
 
 std::unique_ptr<Accountant> CarbonBasedAccounting::with_grid(
     const std::map<std::string, ga::carbon::IntensityTrace>& intensity) const {
     return std::make_unique<CarbonBasedAccounting>(intensity, depreciation_);
 }
 
+BoundCarbonAccounting CarbonBasedAccounting::bind_carbon(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    BoundCarbonAccounting bound;
+    bound.traces_ = intensity_;
+    bound.clusters_.reserve(entries.size());
+    for (const auto& m : entries) {
+        BoundCarbonAccounting::Cluster k;
+        const auto it = intensity_->find(m.node.name);
+        if (it != intensity_->end()) k.trace = &it->second;
+        k.avg_intensity = m.avg_carbon_intensity;
+        k.per_core_rate_g_per_hour =
+            ga::carbon::per_core_rate_g_per_hour(m, depreciation_);
+        k.gpu_count = m.node.gpu_count;
+        for (int n = 1; n <= m.node.gpu_count; ++n) {
+            k.gpu_rate_g_per_hour.push_back(
+                ga::carbon::gpu_job_rate_g_per_hour(m, n, depreciation_));
+        }
+        bound.clusters_.push_back(std::move(k));
+    }
+    return bound;
+}
+
+std::unique_ptr<const BoundAccountant> CarbonBasedAccounting::bind(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    return std::make_unique<BoundCarbonAccounting>(bind_carbon(entries));
+}
+
 double CarbonBasedAccounting::intensity_at(const ga::machine::CatalogEntry& m,
                                            double t_seconds) const {
-    const auto it = intensity_.find(m.node.name);
-    if (it != intensity_.end()) return it->second.at(t_seconds);
+    const auto it = intensity_->find(m.node.name);
+    if (it != intensity_->end()) return it->second.at(t_seconds);
     return m.avg_carbon_intensity;
 }
 
@@ -230,19 +410,33 @@ double CarbonBasedAccounting::operational_g(const JobUsage& usage,
 
 double CarbonBasedAccounting::embodied_g(const JobUsage& usage,
                                          const ga::machine::CatalogEntry& m) const {
-    const double hours = ga::util::seconds_to_hours(usage.duration_s);
-    if (usage.gpus > 0) {
-        return hours *
-               ga::carbon::gpu_job_rate_g_per_hour(m, usage.gpus, depreciation_);
-    }
-    return hours * static_cast<double>(usage.cores) *
-           ga::carbon::per_core_rate_g_per_hour(m, depreciation_);
+    return embodied_at(
+        usage, usage.gpus > 0
+                   ? ga::carbon::gpu_job_rate_g_per_hour(m, usage.gpus,
+                                                         depreciation_)
+                   : ga::carbon::per_core_rate_g_per_hour(m, depreciation_));
 }
 
 double CarbonBasedAccounting::charge(const JobUsage& usage,
                                      const ga::machine::CatalogEntry& m) const {
     validate(usage, m);
     return operational_g(usage, m) + embodied_g(usage, m);
+}
+
+double BoundCarbonAccounting::embodied_g(const JobUsage& usage,
+                                         std::size_t cluster) const {
+    const Cluster& k = clusters_[cluster];
+    if (usage.gpus <= 0) return embodied_at(usage, k.per_core_rate_g_per_hour);
+    GA_REQUIRE(k.gpu_count > 0, "carbon: machine has no GPUs");
+    GA_REQUIRE(usage.gpus <= k.gpu_count, "carbon: GPU count out of range");
+    return embodied_at(
+        usage, k.gpu_rate_g_per_hour[static_cast<std::size_t>(usage.gpus - 1)]);
+}
+
+double BoundCarbonAccounting::charge(const JobUsage& usage,
+                                     std::size_t cluster) const {
+    validate(usage, clusters_[cluster].gpu_count);
+    return operational_g(usage, cluster) + embodied_g(usage, cluster);
 }
 
 // --------------------------------------------- beyond-paper composites
@@ -264,6 +458,12 @@ double BlendedAccounting::charge(const JobUsage& usage,
            carbon_weight_ * carbon_.charge(usage, m);
 }
 
+std::unique_ptr<const BoundAccountant> BlendedAccounting::bind(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    return std::make_unique<BoundBlended>(core_weight_, carbon_weight_,
+                                          carbon_.bind_carbon(entries), entries);
+}
+
 std::unique_ptr<Accountant> BlendedAccounting::with_grid(
     const std::map<std::string, ga::carbon::IntensityTrace>& intensity) const {
     return std::make_unique<BlendedAccounting>(
@@ -280,6 +480,12 @@ CarbonTaxAccounting::CarbonTaxAccounting(double tax_per_g,
 double CarbonTaxAccounting::charge(const JobUsage& usage,
                                    const ga::machine::CatalogEntry& m) const {
     return runtime_.charge(usage, m) + tax_per_g_ * carbon_.charge(usage, m);
+}
+
+std::unique_ptr<const BoundAccountant> CarbonTaxAccounting::bind(
+    std::span<const ga::machine::CatalogEntry> entries) const {
+    return std::make_unique<BoundCarbonTax>(tax_per_g_,
+                                            carbon_.bind_carbon(entries), entries);
 }
 
 std::unique_ptr<Accountant> CarbonTaxAccounting::with_grid(

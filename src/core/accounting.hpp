@@ -41,11 +41,19 @@
 // A pricing method is always named by its spec: `paper_accountants()`
 // lists the five paper methods with default parameters, and a
 // parameterised point such as `EBA(beta=0.5)` is just another spec.
+//
+// A run prices every job on the same few machines, so `Accountant::bind`
+// turns an accountant into a `BoundAccountant` over one deployment: it
+// charges by cluster index, from per-machine constants (CBA's embodied
+// rates and grid trace, EBA's TDP per core) derived once. Every bound
+// charge is the same double the entry form returns.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +62,7 @@
 #include "carbon/rates.hpp"
 #include "machine/catalog.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/units.hpp"
 
 namespace ga::acct {
 
@@ -69,6 +78,19 @@ struct JobUsage {
     /// jobs at their actual *start* time (Eq. 2 reads the grid when the job
     /// runs, which differs for queued jobs).
     double priced_at_s = 0.0;
+};
+
+/// An accountant bound to one deployment's machines (`Accountant::bind`).
+/// `charge(usage, c)` returns exactly the double, and throws exactly the
+/// PreconditionError, of the accountant's `charge(usage, entries[c])` for
+/// the entries it was bound to; `c` must index those entries. Immutable:
+/// `charge` may be called concurrently.
+class BoundAccountant {
+public:
+    virtual ~BoundAccountant() = default;
+
+    [[nodiscard]] virtual double charge(const JobUsage& usage,
+                                        std::size_t cluster) const = 0;
 };
 
 /// Interface: price one job on one machine. Charges are in method-specific
@@ -100,6 +122,16 @@ public:
         (void)intensity;
         return nullptr;
     }
+
+    /// This accountant bound to a deployment, cluster `c` being
+    /// `entries[c]`. Overriding it is optional: the default keeps a copy of
+    /// `entries` and forwards each charge to `charge(usage, entries[c])`,
+    /// so it refers to `*this` and must not outlive it. The builtins
+    /// override it to price from per-machine constants instead; those own
+    /// or share everything they read. Bind after `with_grid`: the bound
+    /// form prices at the grid the accountant holds.
+    [[nodiscard]] virtual std::unique_ptr<const BoundAccountant> bind(
+        std::span<const ga::machine::CatalogEntry> entries) const;
 };
 
 /// A named, parameterized accountant selection — the unit `SimOptions` and
@@ -173,6 +205,8 @@ public:
     [[nodiscard]] std::string_view unit() const noexcept override {
         return "core-hours";
     }
+    [[nodiscard]] std::unique_ptr<const BoundAccountant> bind(
+        std::span<const ga::machine::CatalogEntry> entries) const override;
 };
 
 /// Energy accounting: joules used, no capacity term.
@@ -219,12 +253,66 @@ public:
     [[nodiscard]] static double provisioned_tdp_w(
         const JobUsage& usage, const ga::machine::CatalogEntry& m);
 
+    /// Caches each machine's TDP per core, GPU TDP and (with the PUE
+    /// switch on) PUE.
+    [[nodiscard]] std::unique_ptr<const BoundAccountant> bind(
+        std::span<const ga::machine::CatalogEntry> entries) const override;
+
     [[nodiscard]] double beta() const noexcept { return beta_; }
     [[nodiscard]] bool applies_pue() const noexcept { return apply_pue_; }
 
 private:
     double beta_;
     bool apply_pue_;
+};
+
+/// CBA bound to a deployment. Per cluster it holds the embodied rates of
+/// its depreciation method (per core, and per GPU-job size 1..gpu_count)
+/// and the grid trace the machine resolves to, or else its catalog average
+/// intensity. It shares the traces with the accountant it came from, so it
+/// may outlive that accountant and be moved freely.
+class BoundCarbonAccounting final : public BoundAccountant {
+public:
+    /// Bound to no clusters; `CarbonBasedAccounting::bind_carbon` makes the
+    /// useful ones.
+    BoundCarbonAccounting() = default;
+
+    [[nodiscard]] double charge(const JobUsage& usage,
+                                std::size_t cluster) const override;
+
+    /// Operational term only: the entry form's `operational_g`.
+    [[nodiscard]] double operational_g(const JobUsage& usage,
+                                       std::size_t cluster) const {
+        return ga::util::joules_to_kwh(usage.energy_j) *
+               intensity_at(cluster, usage.priced_at_s);
+    }
+
+    /// Embodied term only: the entry form's `embodied_g`. `charge` is
+    /// `operational_g + embodied_g` in that order, so a caller that needs
+    /// both terms can add them itself and get the same double.
+    [[nodiscard]] double embodied_g(const JobUsage& usage,
+                                    std::size_t cluster) const;
+
+    [[nodiscard]] double intensity_at(std::size_t cluster,
+                                      double t_seconds) const {
+        const Cluster& k = clusters_[cluster];
+        return k.trace != nullptr ? k.trace->at(t_seconds) : k.avg_intensity;
+    }
+
+private:
+    friend class CarbonBasedAccounting;
+
+    struct Cluster {
+        const ga::carbon::IntensityTrace* trace = nullptr;  ///< in traces_
+        double avg_intensity = 0.0;
+        double per_core_rate_g_per_hour = 0.0;
+        int gpu_count = 0;
+        std::vector<double> gpu_rate_g_per_hour;  ///< [n_gpus - 1]
+    };
+
+    std::shared_ptr<const std::map<std::string, ga::carbon::IntensityTrace>>
+        traces_;
+    std::vector<Cluster> clusters_;
 };
 
 /// Carbon-Based Accounting (Eq. 2).
@@ -236,6 +324,10 @@ public:
         std::map<std::string, ga::carbon::IntensityTrace> intensity = {},
         ga::carbon::DepreciationMethod depreciation =
             ga::carbon::DepreciationMethod::DoubleDeclining);
+    // Copy-only: a copy shares the traces, and a move would leave the
+    // source without any.
+    CarbonBasedAccounting(const CarbonBasedAccounting&) = default;
+    CarbonBasedAccounting& operator=(const CarbonBasedAccounting&) = default;
 
     [[nodiscard]] double charge(const JobUsage& usage,
                                 const ga::machine::CatalogEntry& m) const override;
@@ -249,6 +341,14 @@ public:
     [[nodiscard]] std::unique_ptr<Accountant> with_grid(
         const std::map<std::string, ga::carbon::IntensityTrace>& intensity)
         const override;
+
+    [[nodiscard]] std::unique_ptr<const BoundAccountant> bind(
+        std::span<const ga::machine::CatalogEntry> entries) const override;
+
+    /// `bind` with the concrete type, for callers that also meter the
+    /// operational term or read the grid (the simulator and ga-serve).
+    [[nodiscard]] BoundCarbonAccounting bind_carbon(
+        std::span<const ga::machine::CatalogEntry> entries) const;
 
     /// Operational term only (e_j · I_f(t)).
     [[nodiscard]] double operational_g(const JobUsage& usage,
@@ -266,7 +366,10 @@ public:
     }
 
 private:
-    std::map<std::string, ga::carbon::IntensityTrace> intensity_;
+    /// Shared, never mutated: copies of this accountant and its bound forms
+    /// read the same traces.
+    std::shared_ptr<const std::map<std::string, ga::carbon::IntensityTrace>>
+        intensity_;
     ga::carbon::DepreciationMethod depreciation_;
 };
 
@@ -293,6 +396,9 @@ public:
     [[nodiscard]] std::unique_ptr<Accountant> with_grid(
         const std::map<std::string, ga::carbon::IntensityTrace>& intensity)
         const override;
+
+    [[nodiscard]] std::unique_ptr<const BoundAccountant> bind(
+        std::span<const ga::machine::CatalogEntry> entries) const override;
 
     [[nodiscard]] double core_weight() const noexcept { return core_weight_; }
     [[nodiscard]] double carbon_weight() const noexcept { return carbon_weight_; }
@@ -326,6 +432,9 @@ public:
     [[nodiscard]] std::unique_ptr<Accountant> with_grid(
         const std::map<std::string, ga::carbon::IntensityTrace>& intensity)
         const override;
+
+    [[nodiscard]] std::unique_ptr<const BoundAccountant> bind(
+        std::span<const ga::machine::CatalogEntry> entries) const override;
 
     [[nodiscard]] double tax_per_g() const noexcept { return tax_per_g_; }
 

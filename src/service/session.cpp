@@ -75,10 +75,13 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario)
     }
     std::sort(currencies.begin(), currencies.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    const auto entries = ga::sim::cluster_entries(cluster_cfgs_);
     for (auto& [currency, spec] : currencies) {
         ledger_.define_currency(currency, spec);
-        currency_pricers_.emplace_back(
-            currency, ga::acct::AccountantRegistry::global().make(spec));
+        auto accountant = ga::acct::AccountantRegistry::global().make(spec);
+        auto bound = accountant->bind(entries);
+        currency_pricers_.push_back(
+            CurrencyPricer{currency, std::move(accountant), std::move(bound)});
     }
 }
 
@@ -151,9 +154,9 @@ void ServeSession::init_config(ga::io::ScenarioFile scenario) {
     }
 
     ga::sim::RunSetup setup = ga::sim::resolve_run(options_, cluster_cfgs_);
-    cba_ = std::make_unique<ga::acct::CarbonBasedAccounting>(
-        std::move(setup.grid_traces));
+    carbon_ = std::move(setup.carbon);
     pricer_ = std::move(setup.pricer);
+    cluster_pricer_ = std::move(setup.cluster_pricer);
     routing_ = std::move(setup.routing);
     fill_grid_intensity_ = routing_->uses_grid_intensity();
     fill_grid_forecast_ =
@@ -255,7 +258,7 @@ ServeSession::Routed ServeSession::route(const JobSpec& job,
         choice.feasible = job.cores <= clusters_[c].capacity_cores;
         choice.runtime_s = runtime;
         choice.energy_j = usage.energy_j;
-        choice.cost = pricer_->charge(usage, cfg.entry);
+        choice.cost = cluster_pricer_->charge(usage, c);
         choice.queue_wait_s = queue_wait_s;
 
         auto& status = statuses[c];
@@ -265,11 +268,10 @@ ServeSession::Routed ServeSession::route(const JobSpec& job,
         status.queue_depth = clusters_[c].queue.size();
         status.queue_wait_s = queue_wait_s;
         if (fill_grid_intensity_) {
-            status.grid_intensity_g_per_kwh =
-                cba_->intensity_at(cfg.entry, clock_);
+            status.grid_intensity_g_per_kwh = carbon_.intensity_at(c, clock_);
             if (fill_grid_forecast_) {
                 status.grid_forecast_g_per_kwh =
-                    cba_->intensity_at(cfg.entry, clock_ + 3600.0);
+                    carbon_.intensity_at(c, clock_ + 3600.0);
             }
         }
     }
@@ -627,11 +629,10 @@ JsonValue ServeSession::handle_quote(const Request& r) {
             JsonValue costs = object();
             for (const std::string& currency :
                  ledger_.account_currencies(user->as_string())) {
-                for (const auto& [name, accountant] : currency_pricers_) {
-                    if (name == currency) {
+                for (const auto& pricer : currency_pricers_) {
+                    if (pricer.currency == currency) {
                         costs.set(currency,
-                                  JsonValue(accountant->charge(
-                                      usage, cluster_cfgs_[c].entry)));
+                                  JsonValue(pricer.bound->charge(usage, c)));
                         break;
                     }
                 }

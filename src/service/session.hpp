@@ -138,15 +138,23 @@ private:
     std::shared_ptr<ga::workload::CrossPlatformPredictor> predictor_;
     std::vector<std::size_t> predictor_index_;  ///< cluster -> predictor slot
     std::unique_ptr<const ga::acct::Accountant> pricer_;
+    /// `pricer_` bound to the clusters (declared after it: a forwarding
+    /// bound form refers to it).
+    std::unique_ptr<const ga::acct::BoundAccountant> cluster_pricer_;
+    /// A defined currency's accountant and its form bound to the clusters.
+    struct CurrencyPricer {
+        std::string currency;
+        std::unique_ptr<const ga::acct::Accountant> accountant;
+        std::unique_ptr<const ga::acct::BoundAccountant> bound;
+    };
     /// Session copies of the defined currencies' accountants (sorted by
     /// currency) for quote-time pricing; the Ledger holds its own instances
     /// for the authoritative charge path.
-    std::vector<std::pair<std::string, std::unique_ptr<const ga::acct::Accountant>>>
-        currency_pricers_;
+    std::vector<CurrencyPricer> currency_pricers_;
     std::unique_ptr<const ga::sim::RoutingPolicy> routing_;
     /// Intensity lookups for the policy context (grid-bound under
     /// regional_grids, catalog averages otherwise).
-    std::unique_ptr<ga::acct::CarbonBasedAccounting> cba_;
+    ga::acct::BoundCarbonAccounting carbon_;
     bool fill_grid_intensity_ = false;
     bool fill_grid_forecast_ = false;
     std::size_t generate_users_ = 1;  ///< user-pool size for the generate path

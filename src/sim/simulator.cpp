@@ -42,6 +42,14 @@ std::vector<ClusterConfig> default_clusters() {
     };
 }
 
+std::vector<ga::machine::CatalogEntry> cluster_entries(
+    std::span<const ClusterConfig> clusters) {
+    std::vector<ga::machine::CatalogEntry> entries;
+    entries.reserve(clusters.size());
+    for (const auto& c : clusters) entries.push_back(c.entry);
+    return entries;
+}
+
 RunSetup resolve_run(const SimOptions& options,
                      std::span<const ClusterConfig> clusters) {
     RunSetup setup;
@@ -57,6 +65,10 @@ RunSetup resolve_run(const SimOptions& options,
     setup.pricer = bind_grid(
         ga::acct::AccountantRegistry::global().make(options.pricing),
         setup.grid_traces);
+    const auto entries = cluster_entries(clusters);
+    setup.cluster_pricer = setup.pricer->bind(entries);
+    setup.carbon = ga::acct::CarbonBasedAccounting(setup.grid_traces)
+                       .bind_carbon(entries);
 
     PolicySpec policy = options.policy;
     if (policy.params.find("index") == policy.params.end()) {
@@ -661,25 +673,29 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
 
     // ---- accounting setup ----
     const RunSetup setup = resolve_run(options, clusters_);
-    const auto& traces = setup.grid_traces;
-    // CBA with the scenario's grids; also used to decompose carbon totals
-    // for Table 6 regardless of the pricing method.
-    const ga::acct::CarbonBasedAccounting cba(traces);
-    const ga::acct::Accountant& pricer = *setup.pricer;
+    // CBA with the scenario's grids, bound to the clusters; also used to
+    // decompose carbon totals for Table 6 regardless of the pricing method.
+    const ga::acct::BoundCarbonAccounting& cba = setup.carbon;
+    const ga::acct::BoundAccountant& pricer = *setup.cluster_pricer;
 
     // Multi-currency admission accountants, index-aligned with
-    // options.currency_budgets.
+    // options.currency_budgets, and their bound forms (which may refer to
+    // them, so both live to the end of the run).
     const std::size_t n_currencies = options.currency_budgets.size();
-    std::vector<std::unique_ptr<const ga::acct::Accountant>> currency_pricers;
+    std::vector<std::unique_ptr<const ga::acct::Accountant>> currency_accountants;
+    std::vector<std::unique_ptr<const ga::acct::BoundAccountant>> currency_pricers;
+    currency_accountants.reserve(n_currencies);
     currency_pricers.reserve(n_currencies);
+    const auto entries = cluster_entries(clusters_);
     for (const auto& cb : options.currency_budgets) {
         GA_REQUIRE(!cb.currency.empty(),
                    "simulator: currency name must not be empty");
         GA_REQUIRE(cb.budget >= 0.0,
                    "simulator: currency budget must be non-negative");
-        currency_pricers.push_back(bind_grid(
+        currency_accountants.push_back(bind_grid(
             ga::acct::AccountantRegistry::global().make(cb.accountant),
-            traces));
+            setup.grid_traces));
+        currency_pricers.push_back(currency_accountants.back()->bind(entries));
     }
     for (std::size_t a = 0; a < n_currencies; ++a) {
         for (std::size_t b = a + 1; b < n_currencies; ++b) {
@@ -868,15 +884,17 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             // ---- metrics at completion ----
             // Carbon is metered at the job's actual start time: Eq. 2's
             // operational term reads grid intensity when the job runs, which
-            // differs from the submit time for queued jobs.
+            // differs from the submit time for queued jobs. The attributed
+            // total is CBA's charge, operational + embodied, added here from
+            // the operational term already in hand.
             const auto usage = job_usage(j, c, rs.start_time[j]);
             ++result.jobs_completed;
             result.work_core_hours += work_[j];
             result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
-            result.operational_carbon_kg +=
-                cba.operational_g(usage, clusters_[c].entry) / 1000.0;
+            const double operational_g = cba.operational_g(usage, c);
+            result.operational_carbon_kg += operational_g / 1000.0;
             result.attributed_carbon_kg +=
-                cba.charge(usage, clusters_[c].entry) / 1000.0;
+                (operational_g + cba.embodied_g(usage, c)) / 1000.0;
             result.finish_times_s.push_back(now);
             result.makespan_s = std::max(result.makespan_s, now);
             ++rs.jobs_per_cluster[c];
@@ -937,11 +955,10 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             view.queue_depth = rs.queues.depth(c);
             view.queue_wait_s = wait;
             if (fill_grid_intensity) {
-                view.grid_intensity_g_per_kwh =
-                    cba.intensity_at(clusters_[c].entry, now);
+                view.grid_intensity_g_per_kwh = cba.intensity_at(c, now);
                 if (fill_grid_forecast) {
-                    view.grid_forecast_g_per_kwh = cba.intensity_at(
-                        clusters_[c].entry, now + kGridForecastHorizonS);
+                    view.grid_forecast_g_per_kwh =
+                        cba.intensity_at(c, now + kGridForecastHorizonS);
                 }
             }
 
@@ -953,7 +970,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             ch.runtime_s = pred_runtime_[j * n_clusters + c];
             ch.energy_j = ch.runtime_s * pred_power_[j * n_clusters + c];
             ch.queue_wait_s = wait;
-            ch.cost = pricer.charge(job_usage(j, c, now), clusters_[c].entry);
+            ch.cost = pricer.charge(job_usage(j, c, now), c);
         }
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
@@ -976,7 +993,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             bool affordable = true;
             for (std::size_t k = 0; k < n_currencies; ++k) {
                 rs.currency_charged[j * n_currencies + k] =
-                    currency_pricers[k]->charge(usage, clusters_[c].entry);
+                    currency_pricers[k]->charge(usage, c);
                 if (rs.currency_charged[j * n_currencies + k] >
                     rs.currency_remaining[k]) {
                     affordable = false;

@@ -102,13 +102,27 @@ struct RunSetup {
     std::unique_ptr<const RoutingPolicy> routing;
     /// The `options.pricing` accountant, bound to `grid_traces`.
     std::unique_ptr<const ga::acct::Accountant> pricer;
+    /// `pricer` bound to the deployment: quotes by cluster index. Declared
+    /// after `pricer`, which a forwarding bound form refers to.
+    std::unique_ptr<const ga::acct::BoundAccountant> cluster_pricer;
+    /// CBA at `grid_traces`, bound to the deployment: the carbon meter and
+    /// the grid-intensity reader, whatever the pricing method. It shares
+    /// its own copy of the traces, so it survives moves of this struct and
+    /// of `grid_traces`.
+    ga::acct::BoundCarbonAccounting carbon;
 };
 
-/// Builds the grid traces, the routing policy and the pricing accountant
-/// for `options` over a deployment. Fixed-machine policies (named after a
-/// deployed cluster) get that cluster's "index" param unless the spec pins
-/// one, so they never scan names per decision. Throws what the registries
-/// throw for unknown names or bad parameters.
+/// The catalog entries of a deployment, in cluster order: what
+/// `Accountant::bind` takes.
+[[nodiscard]] std::vector<ga::machine::CatalogEntry> cluster_entries(
+    std::span<const ClusterConfig> clusters);
+
+/// Builds the grid traces, the routing policy, the pricing accountant and
+/// the bound pricer and carbon meter for `options` over a deployment.
+/// Fixed-machine policies (named after a deployed cluster) get that
+/// cluster's "index" param unless the spec pins one, so they never scan
+/// names per decision. Throws what the registries throw for unknown names
+/// or bad parameters.
 [[nodiscard]] RunSetup resolve_run(const SimOptions& options,
                                    std::span<const ClusterConfig> clusters);
 

@@ -1,13 +1,20 @@
 // Tests for the open accounting API (core/accounting.hpp): AccountantSpec,
 // AccountantRegistry, the builtin methods (paper + composites, including
 // the hexfloat charge baseline captured from the pre-registry
-// implementation), and end-to-end registry-driven simulator runs (spec
-// pricing, the accountant sweep axis, and the dual-budget core-hours +
+// implementation), the bound per-deployment forms (`Accountant::bind`)
+// against the entry forms, and end-to-end registry-driven simulator runs
+// (spec pricing, the accountant sweep axis, and the dual-budget core-hours +
 // gCO2e scenario).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <span>
+#include <thread>
 
 #include "carbon/grids.hpp"
 #include "core/accounting.hpp"
@@ -316,6 +323,298 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].spec.label, "Greedy/FlatBill(kwh=0.45)");
     expect_identical(outcomes[0].result, direct);
+}
+
+// ------------------------------------------ bound forms (Accountant::bind)
+// Every bound charge must be the entry form's double, bit for bit, and
+// every bad usage the entry form's PreconditionError.
+
+/// Every builtin, with each parameter that changes the arithmetic.
+std::vector<ac::AccountantSpec> bound_specs() {
+    return {
+        {"Runtime", {}},
+        {"Energy", {}},
+        {"Peak", {}},
+        {"EBA", {}},
+        {"EBA", {{"beta", 0.5}}},
+        {"EBA", {{"pue", 1.0}}},
+        {"CBA", {}},
+        {"CBA", {{"depreciation", 1.0}}},
+        {"Blended", {}},
+        {"Blended", {{"core_weight", 2.0}, {"carbon_weight", 0.25}}},
+        {"Blended", {{"depreciation", 1.0}}},
+        {"CarbonTax", {}},
+        {"CarbonTax", {{"rate", 0.02}, {"depreciation", 1.0}}},
+    };
+}
+
+/// The Fig-7 regional traces the simulator builds for its default
+/// deployment.
+std::map<std::string, ga::carbon::IntensityTrace> regional_traces() {
+    sm::SimOptions o;
+    o.regional_grids = true;
+    auto traces = sm::resolve_run(o, sm::default_clusters()).grid_traces;
+    EXPECT_FALSE(traces.empty());
+    return traces;
+}
+
+/// Seeded usages: CPU jobs, and GPU jobs of 1..8 devices (a machine prices
+/// only those within its GPU count). Half are priced inside the 30-day
+/// grid traces, half past their end.
+std::vector<ac::JobUsage> random_usages(std::size_t n) {
+    std::mt19937_64 rng(0xB0D4D);
+    std::uniform_real_distribution<double> duration(0.0, 2.0 * 86400.0);
+    std::uniform_real_distribution<double> watts(0.0, 4000.0);
+    std::uniform_real_distribution<double> inside(0.0, 30.0 * 86400.0);
+    std::uniform_real_distribution<double> past(30.0 * 86400.0, 90.0 * 86400.0);
+    std::uniform_int_distribution<int> cores(1, 512);
+    std::uniform_int_distribution<int> gpus(1, 8);
+    std::vector<ac::JobUsage> usages(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        ac::JobUsage& u = usages[i];
+        u.duration_s = duration(rng);
+        u.energy_j = u.duration_s * watts(rng);
+        if (i % 4 == 3) {
+            u.cores = 0;
+            u.gpus = gpus(rng);
+        } else {
+            u.cores = cores(rng);
+        }
+        u.priced_at_s = i % 2 == 0 ? inside(rng) : past(rng);
+    }
+    return usages;
+}
+
+/// Charges every usage a machine can price through both forms; returns the
+/// number of pairs compared.
+std::size_t expect_bound_matches_entry_form(
+    const ac::Accountant& accountant, const ac::BoundAccountant& bound,
+    std::span<const mc::CatalogEntry> entries,
+    std::span<const ac::JobUsage> usages) {
+    std::size_t compared = 0;
+    for (std::size_t c = 0; c < entries.size(); ++c) {
+        for (std::size_t i = 0; i < usages.size(); ++i) {
+            if (usages[i].gpus > entries[c].node.gpu_count) continue;
+            const double want = accountant.charge(usages[i], entries[c]);
+            const double got = bound.charge(usages[i], c);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << accountant.name() << " on " << entries[c].node.name
+                << ", usage " << i << ": " << got << " vs " << want;
+            ++compared;
+        }
+    }
+    return compared;
+}
+
+TEST(BoundPricer, EveryBuiltinMatchesItsEntryFormBitForBit) {
+    const auto& entries = mc::catalog();
+    ASSERT_EQ(entries.size(), 10u);
+    const auto usages = random_usages(1200);
+    const auto traces = regional_traces();
+    for (const auto& spec : bound_specs()) {
+        SCOPED_TRACE(spec.label());
+        const auto plain = ac::AccountantRegistry::global().make(spec);
+        const std::unique_ptr<const ac::Accountant> gridded =
+            plain->with_grid(traces);
+        for (const ac::Accountant* a : {plain.get(), gridded.get()}) {
+            if (a == nullptr) continue;  // grid-blind: no gridded copy
+            const auto bound = a->bind(entries);
+            EXPECT_GT(expect_bound_matches_entry_form(*a, *bound, entries, usages),
+                      9000u);
+        }
+    }
+}
+
+TEST(BoundPricer, CarbonMeterTermsMatchTheEntryForm) {
+    // The simulator meters carbon through the bound CBA's separate terms.
+    const auto& entries = mc::catalog();
+    const auto usages = random_usages(1000);
+    const ac::CarbonBasedAccounting cba(regional_traces());
+    const ac::BoundCarbonAccounting bound = cba.bind_carbon(entries);
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (std::size_t c = 0; c < entries.size(); ++c) {
+        for (const auto& u : usages) {
+            if (u.gpus > entries[c].node.gpu_count) continue;
+            EXPECT_EQ(bits(bound.operational_g(u, c)),
+                      bits(cba.operational_g(u, entries[c])));
+            EXPECT_EQ(bits(bound.embodied_g(u, c)),
+                      bits(cba.embodied_g(u, entries[c])));
+            EXPECT_EQ(bits(bound.operational_g(u, c) + bound.embodied_g(u, c)),
+                      bits(cba.charge(u, entries[c])));
+            EXPECT_EQ(bits(bound.intensity_at(c, u.priced_at_s)),
+                      bits(cba.intensity_at(entries[c], u.priced_at_s)));
+        }
+    }
+}
+
+TEST(BoundPricer, HexfloatBaselineThroughBind) {
+    const auto& entries = mc::catalog();
+    std::size_t checked = 0;
+    for (const auto& spec : ac::paper_accountants()) {
+        // Energy and Peak forward to the accountant, which must outlive them.
+        const auto accountant = ac::AccountantRegistry::global().make(spec);
+        const auto bound = accountant->bind(entries);
+        for (const auto& row : baseline_rows()) {
+            if (spec.name != row.method) continue;
+            const auto it = std::find_if(
+                entries.begin(), entries.end(),
+                [&](const mc::CatalogEntry& e) { return e.node.name == row.machine; });
+            ASSERT_NE(it, entries.end()) << row.machine;
+            const auto c = static_cast<std::size_t>(it - entries.begin());
+            SCOPED_TRACE(spec.name + "/" + row.machine + "/usage" +
+                         std::to_string(row.usage));
+            EXPECT_EQ(bound->charge(baseline_usages()[row.usage], c),
+                      row.expected);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, baseline_rows().size());
+}
+
+TEST(BoundPricer, BadUsagesThrowTheSamePreconditionErrorThroughBothForms) {
+    const auto& entries = mc::catalog();
+    const auto desktop = static_cast<std::size_t>(
+        &mc::find(mc::CatalogId::Desktop) - entries.data());
+    const auto a100 = static_cast<std::size_t>(
+        &mc::find(mc::CatalogId::A100Node) - entries.data());
+    ac::JobUsage ok{100.0, 1.0e5, 4, 0, 0.0};
+    std::vector<std::pair<ac::JobUsage, std::size_t>> bad;
+    ac::JobUsage u = ok;
+    u.duration_s = -1.0;
+    bad.emplace_back(u, desktop);
+    u = ok;
+    u.energy_j = -1.0;
+    bad.emplace_back(u, desktop);
+    u = ok;
+    u.cores = -2;
+    bad.emplace_back(u, desktop);
+    u = ok;
+    u.cores = 0;
+    bad.emplace_back(u, desktop);
+    u = ok;
+    u.gpus = 1;  // Desktop has no GPUs
+    bad.emplace_back(u, desktop);
+    u = ok;
+    u.gpus = entries[a100].node.gpu_count + 1;
+    bad.emplace_back(u, a100);
+    u = ok;
+    u.gpus = -1;
+    bad.emplace_back(u, a100);
+
+    const auto message = [](const auto& charge) {
+        try {
+            (void)charge();
+        } catch (const ga::util::PreconditionError& e) {
+            return std::string(e.what());
+        }
+        return std::string("(no throw)");
+    };
+    for (const auto& spec : bound_specs()) {
+        SCOPED_TRACE(spec.label());
+        const auto a = ac::AccountantRegistry::global().make(spec);
+        const auto bound = a->bind(entries);
+        for (std::size_t i = 0; i < bad.size(); ++i) {
+            const auto& [usage, c] = bad[i];
+            const std::string want =
+                message([&] { return a->charge(usage, entries[c]); });
+            EXPECT_NE(want, "(no throw)") << "bad usage " << i;
+            EXPECT_EQ(message([&] { return bound->charge(usage, c); }), want)
+                << "bad usage " << i;
+        }
+    }
+}
+
+TEST(BoundPricer, AccountantWithoutBindOverrideForwardsToItsCharge) {
+    auto& registry = ac::AccountantRegistry::global();
+    if (!registry.contains("FlatBill")) {
+        registry.register_accountant(
+            "FlatBill", [](const ac::AccountantSpec& s) {
+                return std::make_unique<FlatBillAccounting>(
+                    s.param("core_hour", 0.05), s.param("kwh", 0.30));
+            });
+    }
+    const auto a =
+        registry.make(ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}});
+    std::unique_ptr<const ac::BoundAccountant> bound;
+    {
+        // The default form copies the entries: the span may go away.
+        const std::vector<mc::CatalogEntry> entries = mc::catalog();
+        bound = a->bind(entries);
+    }
+    const auto usages = random_usages(1000);
+    EXPECT_GT(expect_bound_matches_entry_form(*a, *bound, mc::catalog(), usages),
+              8000u);
+}
+
+TEST(BoundPricer, BoundCarbonOutlivesItsAccountantAndSurvivesMoves) {
+    const auto& entries = mc::catalog();
+    const auto usages = random_usages(200);
+    const ac::CarbonBasedAccounting reference(regional_traces());
+    std::unique_ptr<const ac::BoundAccountant> bound;
+    {
+        const auto gridded = ac::AccountantRegistry::global()
+                                 .make(ac::AccountantSpec{"CBA", {}})
+                                 ->with_grid(regional_traces());
+        bound = gridded->bind(entries);
+    }
+    EXPECT_GT(expect_bound_matches_entry_form(reference, *bound, entries, usages),
+              1500u);
+
+    // A RunSetup's meter shares its own traces: moving the setup, or moving
+    // its grid_traces out as ga-serve does, leaves it valid.
+    sm::SimOptions o;
+    o.regional_grids = true;
+    sm::RunSetup setup = sm::resolve_run(o, sm::default_clusters());
+    const auto deployed = sm::cluster_entries(sm::default_clusters());
+    sm::RunSetup moved = std::move(setup);
+    const auto traces = std::move(moved.grid_traces);
+    const ac::CarbonBasedAccounting deployed_reference(traces);
+    EXPECT_GT(expect_bound_matches_entry_form(deployed_reference, moved.carbon,
+                                              deployed, usages),
+              500u);
+}
+
+TEST(BoundPricer, FourThreadsChargeOneSharedBoundPricer) {
+    const auto& entries = mc::catalog();
+    const auto usages = random_usages(1000);
+    const auto accountant =
+        ac::AccountantRegistry::global()
+            .make(ac::AccountantSpec{"Blended", {}})
+            ->with_grid(regional_traces());
+    const auto bound = accountant->bind(entries);
+    std::vector<double> expected;
+    for (std::size_t c = 0; c < entries.size(); ++c) {
+        for (const auto& u : usages) {
+            expected.push_back(u.gpus > entries[c].node.gpu_count
+                                   ? 0.0
+                                   : accountant->charge(u, entries[c]));
+        }
+    }
+    std::atomic<std::size_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 5; ++round) {
+                for (std::size_t c = 0; c < entries.size(); ++c) {
+                    // Each thread walks the clusters from a different start.
+                    const std::size_t k =
+                        (c + static_cast<std::size_t>(t)) % entries.size();
+                    for (std::size_t i = 0; i < usages.size(); ++i) {
+                        if (usages[i].gpus > entries[k].node.gpu_count) continue;
+                        const double got = bound->charge(usages[i], k);
+                        if (std::bit_cast<std::uint64_t>(got) !=
+                            std::bit_cast<std::uint64_t>(
+                                expected[k * usages.size() + i])) {
+                            mismatches.fetch_add(1, std::memory_order_relaxed);
+                        }
+                    }
+                }
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // ------------------------------------- dual-budget (core-hours AND gCO2e)

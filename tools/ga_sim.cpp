@@ -39,8 +39,9 @@ sweep engine and writes labels + results as JSON (default) or CSV.
 options:
   --list             print the expanded scenario labels and exit (no run)
   --threads N        worker threads (default 0 = hardware concurrency)
-  --serial           run the serial reference executor instead of the pool
-                     (output is bit-identical to the parallel run)
+  --serial           run the points one after another on the calling thread,
+                     with the same executor as the pool (output is
+                     bit-identical to the parallel run)
   --out json|csv     output format (default json)
   --output FILE      write the payload to FILE instead of stdout
   --finish-times     include per-job finish times in the JSON payload
