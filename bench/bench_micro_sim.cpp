@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark): batch-simulator throughput — jobs
 // simulated per second per registry policy (including the context-aware
 // strategies that read the scheduling context on every routing decision),
-// and sweep-engine scaling:
-// scenarios per second for an 8-policy grid at increasing thread counts.
+// sweep-engine scaling:
+// scenarios per second for an 8-policy grid at increasing thread counts,
+// and the set-up ahead of every run: the §5.2 counter GMM fit and the full
+// 142,380-job workload build at increasing thread budgets.
 #include <benchmark/benchmark.h>
 
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "workload/counters.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -57,6 +60,26 @@ void BM_Sweep(benchmark::State& state) {
         benchmark::Counter::kIsRate);
 }
 
+// The counter GMM fit (4000 rows, 3 components, 120 EM iterations) on a
+// team of range(0) threads; the fit is bit-identical at every count.
+void BM_GmmFit(benchmark::State& state) {
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        const auto gmm = ga::workload::fit_counter_gmm(4000, 2023 ^ 0x9E5u, threads);
+        benchmark::DoNotOptimize(gmm.components().front().weight);
+    }
+}
+
+// The paper-scale workload build (trace, fit, counter synthesis,
+// predictor) at a set-up budget of range(0) threads.
+void BM_BuildWorkload(benchmark::State& state) {
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        const auto w = ga::workload::build_workload({}, threads);
+        benchmark::DoNotOptimize(w.jobs.back().counters.gips);
+    }
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Policy, greedy, "Greedy")
@@ -73,3 +96,7 @@ BENCHMARK_CAPTURE(BM_Policy, least_loaded, "LeastLoaded")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Sweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_GmmFit)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_BuildWorkload)->ArgName("threads")->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();

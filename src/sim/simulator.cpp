@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <unordered_map>
 
 #include "carbon/grids.hpp"
 #include "obs/metrics.hpp"
@@ -132,23 +133,19 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
             workload_.predictor->machine_index(clusters_[c].entry.node.name);
     }
 
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<ga::workload::MachineScaling>>
+    std::unordered_map<std::uint64_t, std::vector<ga::workload::MachineScaling>>
         scaling_cache;
+    scaling_cache.reserve(n_users_);  // at least one app per user
     for (std::size_t j = 0; j < n_jobs; ++j) {
         const auto& job = workload_.jobs[j];
-        const auto key = std::make_pair(job.user, job.app);
-        auto it = scaling_cache.find(key);
-        if (it == scaling_cache.end()) {
-            it = scaling_cache
-                     .emplace(key, workload_.predictor->predict(job.counters))
-                     .first;
-        }
-        const auto& scaling = *it;
+        const auto [it, first_sight] =
+            scaling_cache.try_emplace(ga::workload::app_key(job));
+        if (first_sight) it->second = workload_.predictor->predict(job.counters);
+        const auto& scaling = it->second;
         double work_sum = 0.0;
         std::size_t feasible = 0;
         for (std::size_t c = 0; c < n_clusters; ++c) {
-            const auto& s = scaling.second[pred_index[c]];
+            const auto& s = scaling[pred_index[c]];
             const double runtime = job.runtime_ic_s * s.runtime_factor;
             const double power = job.power_ic_w * s.power_factor;
             pred_runtime_[j * n_clusters + c] = runtime;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace ga::stats {
 
@@ -170,79 +171,102 @@ Gmm Gmm::fit(std::span<const double> rows, std::size_t dim, const GmmOptions& op
 
     Gmm model(dim, std::move(comps));
 
-    // ---- EM iterations ----
-    std::vector<double> resp(n * k);       // responsibilities
-    std::vector<double> log_parts(k);
-    std::vector<double> log_weight(k);
-    std::vector<double> z(dim);
-    double prev_ll = -std::numeric_limits<double>::infinity();
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // E step.
-        for (std::size_t c = 0; c < k; ++c) {
-            log_weight[c] = std::log(std::max(model.components_[c].weight, 1e-300));
-        }
-        double ll = 0.0;
-        for (std::size_t r = 0; r < n; ++r) {
-            const auto xr = row(r);
+    // ---- EM iterations, on a thread team ----
+    // Each E step splits the rows into one fixed block per member; each M
+    // step gives every member its own components. Every sum still runs over
+    // the rows in row order, so the fit is bit-identical at any team size.
+    // Two syncs per iteration: the M step reads every row's
+    // responsibilities, and the next E step reads every component.
+    std::vector<double> resp(n * k);  // responsibilities
+    std::vector<double> norm(n);      // per-row log-likelihood
+    double ll = 0.0;  // written by member 0 in the M step, read after its sync
+    // No more members than rows, so every E-step block is non-empty.
+    const std::size_t team_size = std::min(
+        options.threads == 0 ? ga::util::default_thread_count() : options.threads,
+        n);
+    ga::util::run_team(team_size, [&](std::size_t member, ga::util::Team& team) {
+        const std::size_t row_begin = n * member / team_size;
+        const std::size_t row_end = n * (member + 1) / team_size;
+        std::vector<double> log_parts(k);
+        std::vector<double> log_weight(k);
+        std::vector<double> z(dim);
+        double prev_ll = -std::numeric_limits<double>::infinity();
+        for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+            // E step over this member's rows. The weights were last written
+            // before the previous sync, so every member reads the same ones.
             for (std::size_t c = 0; c < k; ++c) {
-                const auto& comp = model.components_[c];
-                for (std::size_t i = 0; i < dim; ++i) {
-                    double s = xr[i] - comp.mean[i];
-                    for (std::size_t kk = 0; kk < i; ++kk) {
-                        s -= comp.chol[i * dim + kk] * z[kk];
+                log_weight[c] =
+                    std::log(std::max(model.components_[c].weight, 1e-300));
+            }
+            for (std::size_t r = row_begin; r < row_end; ++r) {
+                const auto xr = row(r);
+                for (std::size_t c = 0; c < k; ++c) {
+                    const auto& comp = model.components_[c];
+                    for (std::size_t i = 0; i < dim; ++i) {
+                        double s = xr[i] - comp.mean[i];
+                        for (std::size_t kk = 0; kk < i; ++kk) {
+                            s -= comp.chol[i * dim + kk] * z[kk];
+                        }
+                        z[i] = s / comp.chol[i * dim + i];
                     }
-                    z[i] = s / comp.chol[i * dim + i];
+                    double quad = 0.0;
+                    for (const double v : z) quad += v * v;
+                    log_parts[c] = log_weight[c] + comp.log_norm - 0.5 * quad;
                 }
-                double quad = 0.0;
-                for (const double v : z) quad += v * v;
-                log_parts[c] = log_weight[c] + comp.log_norm - 0.5 * quad;
+                norm[r] = log_sum_exp(log_parts);
+                for (std::size_t c = 0; c < k; ++c) {
+                    resp[r * k + c] = std::exp(log_parts[c] - norm[r]);
+                }
             }
-            const double norm = log_sum_exp(log_parts);
-            ll += norm;
-            for (std::size_t c = 0; c < k; ++c) {
-                resp[r * k + c] = std::exp(log_parts[c] - norm);
-            }
-        }
-        ll /= static_cast<double>(n);
-        model.trace_.push_back(ll);
+            if (!team.sync()) return;
 
-        // M step.
-        for (std::size_t c = 0; c < k; ++c) {
-            double nk = 0.0;
-            for (std::size_t r = 0; r < n; ++r) nk += resp[r * k + c];
-            nk = std::max(nk, 1e-12);
-            auto& comp = model.components_[c];
-            comp.weight = nk / static_cast<double>(n);
-            std::fill(comp.mean.begin(), comp.mean.end(), 0.0);
-            for (std::size_t r = 0; r < n; ++r) {
-                const auto xr = row(r);
-                const double w = resp[r * k + c];
-                for (std::size_t d = 0; d < dim; ++d) comp.mean[d] += w * xr[d];
+            // M step: member 0 also sums the log-likelihood, in row order.
+            if (member == 0) {
+                double sum = 0.0;
+                for (std::size_t r = 0; r < n; ++r) sum += norm[r];
+                ll = sum / static_cast<double>(n);
+                model.trace_.push_back(ll);
             }
-            for (auto& v : comp.mean) v /= nk;
-            std::fill(comp.covariance.begin(), comp.covariance.end(), 0.0);
-            for (std::size_t r = 0; r < n; ++r) {
-                const auto xr = row(r);
-                const double w = resp[r * k + c];
+            for (std::size_t c = member; c < k; c += team_size) {
+                double nk = 0.0;
+                for (std::size_t r = 0; r < n; ++r) nk += resp[r * k + c];
+                nk = std::max(nk, 1e-12);
+                auto& comp = model.components_[c];
+                comp.weight = nk / static_cast<double>(n);
+                std::fill(comp.mean.begin(), comp.mean.end(), 0.0);
+                for (std::size_t r = 0; r < n; ++r) {
+                    const auto xr = row(r);
+                    const double w = resp[r * k + c];
+                    for (std::size_t d = 0; d < dim; ++d) comp.mean[d] += w * xr[d];
+                }
+                for (auto& v : comp.mean) v /= nk;
+                std::fill(comp.covariance.begin(), comp.covariance.end(), 0.0);
+                for (std::size_t r = 0; r < n; ++r) {
+                    const auto xr = row(r);
+                    const double w = resp[r * k + c];
+                    for (std::size_t i = 0; i < dim; ++i) {
+                        const double di = xr[i] - comp.mean[i];
+                        for (std::size_t j = 0; j <= i; ++j) {
+                            comp.covariance[i * dim + j] +=
+                                w * di * (xr[j] - comp.mean[j]);
+                        }
+                    }
+                }
                 for (std::size_t i = 0; i < dim; ++i) {
-                    const double di = xr[i] - comp.mean[i];
                     for (std::size_t j = 0; j <= i; ++j) {
-                        comp.covariance[i * dim + j] += w * di * (xr[j] - comp.mean[j]);
+                        comp.covariance[i * dim + j] /= nk;
+                        comp.covariance[j * dim + i] = comp.covariance[i * dim + j];
                     }
                 }
+                finalize_component(comp, dim, options.min_variance);
             }
-            for (std::size_t i = 0; i < dim; ++i) {
-                for (std::size_t j = 0; j <= i; ++j) {
-                    comp.covariance[i * dim + j] /= nk;
-                    comp.covariance[j * dim + i] = comp.covariance[i * dim + j];
-                }
-            }
-            finalize_component(comp, dim, options.min_variance);
-        }
+            if (!team.sync()) return;
 
-        if (ll - prev_ll < options.tolerance && iter > 0) break;
-        prev_ll = ll;
-    }
+            // Every member reaches the same verdict from the same `ll`.
+            if (ll - prev_ll < options.tolerance && iter > 0) return;
+            prev_ll = ll;
+        }
+    });
     return model;
 }
 

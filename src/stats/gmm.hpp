@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -32,13 +33,17 @@ struct GmmOptions {
     double tolerance = 1e-7;      ///< stop when mean log-likelihood improves less
     double min_variance = 1e-9;   ///< diagonal floor to keep covariances SPD
     std::uint64_t seed = 42;      ///< k-means++-style initialization seed
+    /// EM team size (0 = hardware concurrency). The fit is bit-identical at
+    /// every count: each sum keeps its serial row order.
+    std::size_t threads = 1;
 };
 
 /// A fitted mixture over `dim`-dimensional observations.
 class Gmm {
 public:
     /// Fits by EM. `rows` is row-major with `dim` columns; requires at least
-    /// `options.n_components` rows.
+    /// `options.n_components` rows. With `options.threads` > 1, each E step
+    /// splits the rows and each M step the components over a thread team.
     static Gmm fit(std::span<const double> rows, std::size_t dim,
                    const GmmOptions& options);
 

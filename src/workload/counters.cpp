@@ -1,7 +1,7 @@
 #include "workload/counters.hpp"
 
 #include <cmath>
-#include <map>
+#include <unordered_map>
 
 #include "util/error.hpp"
 #include "workload/predictor.hpp"
@@ -31,12 +31,14 @@ std::vector<double> make_counter_training_data(std::size_t rows,
     return out;
 }
 
-ga::stats::Gmm fit_counter_gmm(std::size_t training_rows, std::uint64_t seed) {
+ga::stats::Gmm fit_counter_gmm(std::size_t training_rows, std::uint64_t seed,
+                               std::size_t threads) {
     const auto data = make_counter_training_data(training_rows, seed);
     ga::stats::GmmOptions options;
     options.n_components = 3;
     options.max_iterations = 120;
     options.seed = seed ^ 0xC0FFEEull;
+    options.threads = threads;
     return ga::stats::Gmm::fit(data, 2, options);
 }
 
@@ -53,25 +55,14 @@ void synthesize_counters(std::vector<TraceJob>& jobs, const ga::stats::Gmm& gmm,
     ga::util::Rng rng(seed);
     // Repetitions of the same (user, app) share one counter vector — the
     // paper's "same cross-platform characteristics" assumption. Sample on
-    // first sight of the key, reuse afterwards.
-    struct Key {
-        std::uint32_t user;
-        std::uint32_t app;
-        bool operator<(const Key& o) const noexcept {
-            return user != o.user ? user < o.user : app < o.app;
-        }
-    };
-    std::map<Key, JobCounters> cache;
+    // first sight of the key, reuse afterwards. (The keys are few — 1,591
+    // for the 142,380 fig5 jobs — so the map grows from empty: reserving a
+    // bucket per job measured no faster and cost 1 MB of peak RSS.)
+    std::unordered_map<std::uint64_t, JobCounters> cache;
     for (auto& job : jobs) {
-        const Key key{job.user, job.app};
-        const auto it = cache.find(key);
-        if (it != cache.end()) {
-            job.counters = it->second;
-            continue;
-        }
-        const JobCounters c = counters_from_sample(gmm.sample(rng));
-        cache.emplace(key, c);
-        job.counters = c;
+        const auto [it, first_sight] = cache.try_emplace(app_key(job));
+        if (first_sight) it->second = counters_from_sample(gmm.sample(rng));
+        job.counters = it->second;
     }
 }
 

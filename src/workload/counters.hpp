@@ -23,11 +23,14 @@ namespace ga::workload {
 [[nodiscard]] std::vector<double> make_counter_training_data(std::size_t rows,
                                                              std::uint64_t seed);
 
-/// Fits the counter GMM (paper: trained on IC data).
+/// Fits the counter GMM (paper: trained on IC data) on a team of `threads`
+/// (0 = hardware concurrency); the fit is the same at every count.
 [[nodiscard]] ga::stats::Gmm fit_counter_gmm(std::size_t training_rows = 4000,
-                                             std::uint64_t seed = 7);
+                                             std::uint64_t seed = 7,
+                                             std::size_t threads = 0);
 
-/// Samples counters for every job in the trace, in place.
+/// Samples counters for every job in the trace, in place: one GMM draw per
+/// distinct (user, app), on its first sight in job order.
 void synthesize_counters(std::vector<TraceJob>& jobs, const ga::stats::Gmm& gmm,
                          std::uint64_t seed);
 

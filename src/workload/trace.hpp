@@ -50,6 +50,12 @@ struct TraceJob {
     }
 };
 
+/// The repetition key of a job, (user << 32) | app: jobs sharing it share
+/// counters and cross-platform predictions.
+[[nodiscard]] constexpr std::uint64_t app_key(const TraceJob& job) noexcept {
+    return (std::uint64_t{job.user} << 32) | job.app;
+}
+
 /// Arrival-time process for the generated trace.
 enum class ArrivalProcess {
     /// Legacy paper mode: submissions uniform over the span. The default —

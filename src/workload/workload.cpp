@@ -1,7 +1,10 @@
 #include "workload/workload.hpp"
 
+#include <optional>
+
 #include "machine/catalog.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace ga::workload {
 
@@ -16,11 +19,31 @@ std::vector<Workload::PerMachine> Workload::extrapolate(const TraceJob& job) con
     return out;
 }
 
-Workload build_workload(const TraceOptions& options) {
+Workload build_workload(const TraceOptions& options, std::size_t threads) {
+    const std::size_t budget =
+        threads == 0 ? ga::util::default_thread_count() : threads;
+    const auto fit = [&](std::size_t fit_threads) {
+        return fit_counter_gmm(/*training_rows=*/4000, options.seed ^ 0x9E5u,
+                               fit_threads);
+    };
     Workload w;
-    w.jobs = generate_trace(options);
-    const auto gmm = fit_counter_gmm(/*training_rows=*/4000, options.seed ^ 0x9E5u);
-    synthesize_counters(w.jobs, gmm, options.seed ^ 0x51Du);
+    std::optional<ga::stats::Gmm> gmm;
+    if (budget < 2) {
+        w.jobs = generate_trace(options);
+        gmm.emplace(fit(1));
+    } else {
+        // Member 0 (the caller) generates the trace; member 1 leads the fit
+        // team. When both throw, run_team rethrows member 0's error: the
+        // trace's, as when the two ran in sequence.
+        ga::util::run_team(2, [&](std::size_t member, ga::util::Team&) {
+            if (member == 0) {
+                w.jobs = generate_trace(options);
+            } else {
+                gmm.emplace(fit(budget - 1));
+            }
+        });
+    }
+    synthesize_counters(w.jobs, *gmm, options.seed ^ 0x51Du);
     w.predictor = std::make_shared<CrossPlatformPredictor>(
         ga::machine::simulation_machines());
     return w;

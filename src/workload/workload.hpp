@@ -35,6 +35,13 @@ struct Workload {
 /// Builds the workload over the Table-5 simulation machines.
 /// `options` defaults to the paper's 142,380-job scale; pass a smaller
 /// `base_jobs` for tests.
-[[nodiscard]] Workload build_workload(const TraceOptions& options = {});
+///
+/// `threads` (0 = hardware concurrency) is the set-up's thread budget. With
+/// two or more, the trace generates on one thread while the counter GMM
+/// fits on a team of the rest (their seeds are disjoint); counter synthesis
+/// follows. The workload is bit-identical at every budget, and a bad
+/// `options` throws what `generate_trace` throws, whatever the budget.
+[[nodiscard]] Workload build_workload(const TraceOptions& options = {},
+                                      std::size_t threads = 0);
 
 }  // namespace ga::workload

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "sim/sweep.hpp"
@@ -68,6 +69,80 @@ TEST(Parallel, ThreadPoolRunsEveryTaskAndIsReusable) {
         }
         pool.wait_idle();
         EXPECT_EQ(count.load(), (batch + 1) * 50);
+    }
+}
+
+TEST(Parallel, RunTeamMembersMeetAtEverySync) {
+    // Each phase, every member writes its own slot, syncs, then checks that
+    // every other member's write of the same phase is visible.
+    constexpr std::size_t kMembers = 4;
+    constexpr int kPhases = 200;
+    std::vector<int> slots(kMembers, -1);
+    std::atomic<int> mismatches{0};
+    ga::util::run_team(kMembers, [&](std::size_t m, ga::util::Team& team) {
+        for (int phase = 0; phase < kPhases; ++phase) {
+            slots[m] = phase;
+            if (!team.sync()) return;
+            for (const int v : slots) {
+                if (v != phase) mismatches.fetch_add(1);
+            }
+            if (!team.sync()) return;
+        }
+    });
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(slots, std::vector<int>(kMembers, kPhases - 1));
+}
+
+TEST(Parallel, RunTeamSingleMemberRunsOnTheCaller) {
+    const auto caller = std::this_thread::get_id();
+    int calls = 0;
+    ga::util::run_team(1, [&](std::size_t m, ga::util::Team& team) {
+        EXPECT_EQ(m, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_TRUE(team.sync());
+        ++calls;
+    });
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(Parallel, RunTeamThrowingMemberLeavesNoOneWaiting) {
+    // Member 2 throws between syncs; the rest would sync 10,000 times, but
+    // see the failure at their next sync and return.
+    std::atomic<int> completed{0};
+    try {
+        ga::util::run_team(4, [&](std::size_t m, ga::util::Team& team) {
+            for (int phase = 0; phase < 10'000; ++phase) {
+                if (m == 2 && phase == 3) throw std::runtime_error("member 2");
+                if (!team.sync()) return;
+            }
+            completed.fetch_add(1);
+        });
+        FAIL() << "expected member 2's error";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "member 2");
+    }
+    EXPECT_EQ(completed.load(), 0);
+}
+
+TEST(Parallel, RunTeamRethrowsTheLowestMembersError) {
+    // Members 0 (the caller) and 3 both throw, member 0 only once member 3
+    // is about to: member 0's error wins, whatever the order in time.
+    std::atomic<bool> member3_throwing{false};
+    try {
+        ga::util::run_team(4, [&](std::size_t m, ga::util::Team& team) {
+            if (m == 3) {
+                member3_throwing.store(true);
+                throw std::runtime_error("member 3");
+            }
+            if (m == 0) {
+                while (!member3_throwing.load()) std::this_thread::yield();
+                throw std::runtime_error("member 0");
+            }
+            (void)team.sync();
+        });
+        FAIL() << "expected member 0's error";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "member 0");
     }
 }
 

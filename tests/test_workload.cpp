@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "io/scenario.hpp"
 #include "kernels/kernel.hpp"
+#include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "workload/counters.hpp"
 #include "workload/predictor.hpp"
@@ -238,6 +240,115 @@ TEST(Workload, BuildAndExtrapolate) {
     EXPECT_NEAR(per_machine[ic].runtime_s, w.jobs.front().runtime_ic_s, 1e-9);
     EXPECT_NEAR(per_machine[ic].energy_j(), w.jobs.front().energy_ic_j(), 1e-6);
 }
+
+// ------------------------------------------------- pinned fig5 workload
+// 64-bit FNV-1a digests of the committed fig5 workload (the scenario's
+// TraceOptions), recorded from the one-thread set-up: every TraceJob
+// field's bits in job order, the simulator's precomputed per-job work, and
+// the bound EBA and CBA quotes of the first 2048 jobs on every cluster.
+constexpr std::uint64_t kFig5JobsDigest = 0xbc3d12164763af25ull;
+constexpr std::uint64_t kFig5WorkDigest = 0x5cdb2d3da261e3d9ull;
+constexpr std::uint64_t kFig5EbaQuoteDigest = 0x6c242f2e222db208ull;
+constexpr std::uint64_t kFig5CbaQuoteDigest = 0xf6c5eb86037a1be3ull;
+
+struct Fnv1a {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    void add(std::uint64_t word) {
+        for (int b = 0; b < 8; ++b) {
+            hash ^= (word >> (8 * b)) & 0xFFu;
+            hash *= 0x100000001b3ull;
+        }
+    }
+    void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+};
+
+wl::TraceOptions fig5_options() {
+    return ga::io::load_scenario_file(std::string(GA_REPO_SCENARIO_DIR) +
+                                      "/fig5_eba_policies.json")
+        .workload;
+}
+
+std::uint64_t jobs_digest(const std::vector<wl::TraceJob>& jobs) {
+    Fnv1a f;
+    for (const auto& j : jobs) {
+        f.add(std::uint64_t{j.id});
+        f.add(std::uint64_t{j.user});
+        f.add(std::uint64_t{j.app});
+        f.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(j.cores)));
+        f.add(j.submit_s);
+        f.add(j.runtime_ic_s);
+        f.add(j.power_ic_w);
+        f.add(j.counters.gips);
+        f.add(j.counters.llc_mps);
+    }
+    return f.hash;
+}
+
+std::uint64_t work_digest(const ga::sim::BatchSimulator& sim) {
+    Fnv1a f;
+    for (std::size_t j = 0; j < sim.workload().jobs.size(); ++j) {
+        f.add(sim.job_work_core_hours(j));
+    }
+    return f.hash;
+}
+
+std::uint64_t quote_digest(const ga::sim::BatchSimulator& sim, const char* method) {
+    ga::sim::SimOptions options;
+    options.pricing = {method, {}};
+    const auto setup = ga::sim::resolve_run(options, sim.clusters());
+    const auto& w = sim.workload();
+    Fnv1a f;
+    for (std::size_t j = 0; j < 2048; ++j) {
+        const auto per_machine = w.extrapolate(w.jobs[j]);
+        for (std::size_t c = 0; c < sim.clusters().size(); ++c) {
+            const auto& m = per_machine[w.predictor->machine_index(
+                sim.clusters()[c].entry.node.name)];
+            ga::acct::JobUsage usage;
+            usage.duration_s = m.runtime_s;
+            usage.energy_j = m.energy_j();
+            usage.cores = w.jobs[j].cores;
+            usage.priced_at_s = w.jobs[j].submit_s;
+            f.add(setup.cluster_pricer->charge(usage, c));
+        }
+    }
+    return f.hash;
+}
+
+/// The set-up at each thread budget: 1 runs it in sequence, 2 runs the
+/// trace beside a one-thread fit, 4 beside a three-thread fit team.
+class WorkloadThreads : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(WorkloadThreads, Fig5SetupMatchesRecordedDigests) {
+    const ga::sim::BatchSimulator sim(
+        wl::build_workload(fig5_options(), GetParam()));
+    ASSERT_EQ(sim.workload().jobs.size(), 142'380u);
+    EXPECT_EQ(jobs_digest(sim.workload().jobs), kFig5JobsDigest);
+    EXPECT_EQ(work_digest(sim), kFig5WorkDigest);
+    EXPECT_EQ(quote_digest(sim, "EBA"), kFig5EbaQuoteDigest);
+    EXPECT_EQ(quote_digest(sim, "CBA"), kFig5CbaQuoteDigest);
+}
+
+TEST_P(WorkloadThreads, BadTraceOptionsThrowTheTraceError) {
+    // The trace may generate on a thread of its own; its error must still
+    // reach the caller unchanged.
+    wl::TraceOptions o = small_options();
+    o.users = 0;
+    std::string expected;
+    try {
+        (void)wl::generate_trace(o);
+    } catch (const ga::util::PreconditionError& e) {
+        expected = e.what();
+    }
+    ASSERT_FALSE(expected.empty());
+    try {
+        (void)wl::build_workload(o, GetParam());
+        FAIL() << "expected the trace's precondition error";
+    } catch (const ga::util::PreconditionError& e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Budgets, WorkloadThreads, ::testing::Values(1u, 2u, 4u));
 
 // ------------------------------------------------------- diurnal arrivals
 wl::TraceOptions diurnal_options() {

@@ -8,8 +8,9 @@
 // The output is reproducible by construction: the sweep engine is
 // bit-identical parallel vs serial, the serializers are deterministic, and
 // doubles are written in shortest round-trip form — the same scenario file
-// produces the same bytes on every run at any --threads count, which the
-// golden CI check pins.
+// produces the same bytes on every run at any --threads count (set-up
+// included: the workload build is bit-identical at every thread budget),
+// which the golden CI check pins.
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -38,10 +39,11 @@ sweep engine and writes labels + results as JSON (default) or CSV.
 
 options:
   --list             print the expanded scenario labels and exit (no run)
-  --threads N        worker threads (default 0 = hardware concurrency)
-  --serial           run the points one after another on the calling thread,
-                     with the same executor as the pool (output is
-                     bit-identical to the parallel run)
+  --threads N        worker threads for the workload set-up and the sweep
+                     (default 0 = hardware concurrency)
+  --serial           build the workload and run the points one after another
+                     on the calling thread, with the same executor as the
+                     pool (output is bit-identical to the parallel run)
   --out json|csv     output format (default json)
   --output FILE      write the payload to FILE instead of stdout
   --finish-times     include per-job finish times in the JSON payload
@@ -225,8 +227,8 @@ int run(const CliOptions& cli) {
     std::fprintf(stderr, "scenario '%s': %zu jobs over %zu users, %zu grid points\n",
                  scenario.name.c_str(), scenario.workload.total_jobs(),
                  scenario.workload.users, specs.size());
-    const ga::sim::BatchSimulator simulator(
-        ga::workload::build_workload(scenario.workload));
+    const ga::sim::BatchSimulator simulator(ga::workload::build_workload(
+        scenario.workload, cli.serial ? 1 : cli.threads));
 
     std::vector<ga::sim::SweepOutcome> outcomes;
     if (cli.serial) {

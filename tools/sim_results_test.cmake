@@ -2,9 +2,10 @@
 # `ga_sim_results_<name>` in tools/CMakeLists.txt, one per committed
 # examples/scenarios/*.json that has a golden/<name>.results.json).
 #
-# Runs the scenario three ways — the parallel sweep, `--serial`, and the
-# parallel sweep with tracing and metrics collection enabled — and each
-# results payload must byte-match the committed golden. `run` and
+# Runs the scenario five ways — the parallel sweep at 4, 1 and 2 threads
+# (the set-up's thread budget too), `--serial`, and the parallel sweep with
+# tracing and metrics collection enabled — and each results payload must
+# byte-match the committed golden. `run` and
 # `run_reference` share one event loop, so the reference executor cannot
 # catch a change to event order; these files, recorded before the loop
 # last changed, can.
@@ -41,8 +42,10 @@ function(run_and_compare name)
 endfunction()
 
 run_and_compare(parallel --threads 4)
+run_and_compare(one_thread --threads 1)
+run_and_compare(two_threads --threads 2)
 run_and_compare(serial --serial)
 run_and_compare(traced --threads 4
   --trace "${WORKDIR}/trace.json" --metrics-out "${WORKDIR}/metrics.json")
 
-message(STATUS "ga-sim: parallel, serial and traced results match ${GOLDEN}")
+message(STATUS "ga-sim: parallel (4, 1, 2 threads), serial and traced results match ${GOLDEN}")
